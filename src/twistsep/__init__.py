@@ -16,9 +16,9 @@ from .twisted import (TwistedChain, TwistedWitness, blackburn_constants,
                       is_twisted_conjugate, psi, solve_power_twisted,
                       twisted_chain, twisted_determinant, twisted_subgroup)
 from .quotients import (FiniteQuotient, congruence_depth, congruence_quotient,
-                        full_power_subgroup, induced_automorphism,
+                        depth_scan, full_power_subgroup, induced_automorphism,
                         one_dim_central_quotient, separate_central, separates,
-                        twisted_class, verify_pullback_reduction)
+                        verify_pullback_reduction)
 from .extensions import (FiniteExtension, decompose_twisted_class,
                          farb_depth_union, is_conjugate_virtual)
 

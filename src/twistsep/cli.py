@@ -30,16 +30,22 @@ def _load_group(ref):
 
 
 def _load_phi(ref, pres):
+    """The automorphism named by ref, verified to be one."""
     if ref == "id":
         from .malcev import identity_automorphism
-        return identity_automorphism(pres)
-    if ref.startswith("heis:"):
+        phi = identity_automorphism(pres)
+    elif ref.startswith("heis:"):
         vals = [int(t) for t in ref.split(":", 1)[1].split(",")]
         if len(vals) == 4:
             vals += [0, 0]
         a, b, c, d, e, f = vals
-        return groups.heisenberg_automorphism(pres, [[a, b], [c, d]], e, f)
-    return serialize.hom_from_dict(serialize.load_json(ref), pres)
+        phi = groups.heisenberg_automorphism(pres, [[a, b], [c, d]], e, f)
+    else:
+        phi = serialize.hom_from_dict(serialize.load_json(ref), pres)
+    problems = verify_hom(phi, check_automorphism=True)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return phi
 
 
 def _parse_element(text, pres):
@@ -61,9 +67,6 @@ def cmd_group_verify(args):
 def cmd_twisted_chain(args):
     pres = _load_group(args.group)
     phi = _load_phi(args.phi, pres)
-    problems = verify_hom(phi, check_automorphism=True)
-    if problems:
-        raise ValidationError("; ".join(problems))
     chain = TwistedChain(pres, phi)
     print(serialize.dump_json(serialize.chain_to_dict(chain), args.output))
 

@@ -18,7 +18,7 @@ from .malcev import (automorphism_norm, ball_with_distances, compose_with_inner,
                      identity_automorphism, verify_hom, word_length,
                      word_length_upper)
 from .groups import dim5, dim5_automorphism, heisenberg, heisenberg_automorphism
-from .quotients import (congruence_depth, one_dim_central_quotient)
+from .quotients import congruence_depth, depth_scan, one_dim_central_quotient
 from .twisted import TwistedWitness, is_twisted_conjugate, twisted_chain
 
 DEFAULT_SEED = 20240214
@@ -77,7 +77,8 @@ def fit_exponent(rows):
 def measure_conj_growth(config):
     """Growth rows: for each radius n and automorphism, the maximal
     congruence depth over non-twisted-conjugate pairs in the n-ball
-    (exhaustive, or sampled with the flag recorded)."""
+    (exhaustive, or sampled with the flag recorded), from one depth scan
+    per row. The row's witness is the first pair attaining the maximum."""
     p = config.group
     gens = p.standard_gens()
     rng = random.Random(config.seed)
@@ -98,17 +99,14 @@ def measure_conj_growth(config):
             else:
                 pairs = [(x, y) for x in elements for y in elements if x != y]
                 exhaustive = True
+            pairs = [(x, y) for x, y in pairs
+                     if not isinstance(is_twisted_conjugate(p, phi, x, y), TwistedWitness)]
             best = None
             exhausted = False
-            for x, y in pairs:
-                if isinstance(is_twisted_conjugate(p, phi, x, y), TwistedWitness):
-                    continue
-                res = congruence_depth(p, phi, x, y, config.order_budget,
-                                       check_nonconjugate=False)
+            for (x, y), res in zip(pairs, depth_scan(p, phi, pairs, config.order_budget)):
                 if not res.separated:
                     exhausted = True
-                    continue
-                if best is None or res.order > best[0]:
+                elif best is None or res.order > best[0]:
                     best = (res.order, x, y, res.moduli)
             if best is None:
                 rows.append(GrowthRow(n, name, 0, exhaustive=exhaustive,

@@ -14,6 +14,7 @@ finite quotient by the congruence kernel.
 from dataclasses import dataclass
 import itertools
 import math
+import operator
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
 from . import lattice as lin
@@ -114,31 +115,6 @@ def induced_automorphism(q, phi):
     return bar
 
 
-def twisted_class(q, phi_bar, xbar):
-    """The twisted conjugacy class of xbar in the finite quotient, by
-    orbit enumeration under z . xi = z xi phi(z)^-1 over quotient
-    generators."""
-    p = q.pres
-    gens = [p.gen(i) for i in range(p.h)]
-    moves = []
-    for g in gens:
-        moves.append((q.canon(g), q.inv(phi_bar(q.canon(g)))))
-        moves.append((q.inv(g), phi_bar(q.canon(g))))
-    start = q.canon(xbar)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for u, v in moves:
-                t = q.mult(q.mult(u, e), v)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return seen
-
-
 def projected_class(q, phi, x):
     """The image of the twisted class [x]_phi in the quotient, computed
     through the graph moves xi -> pi(a) xi pi(phi(a))^-1. This never needs
@@ -203,26 +179,101 @@ class DepthResult:
     budget_exhausted: bool = False
 
 
+def _coset_canon(pres, kernel, moduli):
+    """Canonical coset forms modulo a stable diagonal kernel. In class <= 2
+    sifting reduces every coordinate mod its modulus: moving a_i^(k m_i)
+    left past a_j^(e) adds the correction k m_i e [a_i, a_j], which
+    stability makes divisible by the deeper moduli. Deeper classes sift."""
+    if pres.nilpotency_class <= 2:
+        return lambda g: tuple(map(operator.mod, g, moduli))
+    return kernel.coset_rep
+
+
+class _OrbitLabels:
+    """The orbits of xi -> pi(a) xi pi(phi(a))^-1 on N/K, the projected
+    twisted classes, labelled lazily: an orbit is searched in full the first
+    time one of its elements asks for its label. Each generator acts as a
+    permutation of the finite set N/K, so its inverse is one of its powers
+    and the searches need only the generators' own moves."""
+
+    def __init__(self, pres, phi, canon):
+        self.canon = canon
+        self.mult = pres.mult
+        self.moves = [(canon(pres.gen(i)), canon(pres.inv(phi.apply(pres.gen(i)))))
+                      for i in range(pres.h)]
+        self.labels = {}
+
+    def search(self, g):
+        """The label of g's orbit, searching the orbit when it is new."""
+        start = self.canon(g)
+        if start in self.labels:
+            return self.labels[start]
+        canon, mult, labels, moves = self.canon, self.mult, self.labels, self.moves
+        labels[start] = start
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for e in frontier:
+                for u, v in moves:
+                    t = canon(mult(mult(u, e), v))
+                    if t not in labels:
+                        labels[t] = start
+                        nxt.append(t)
+            frontier = nxt
+        return start
+
+    def peek(self, g):
+        """The label of g's orbit, or None when it has not been searched."""
+        return self.labels.get(self.canon(g))
+
+
+def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
+    """Congruence depths of many pairs (x, y) in one pass over the stable
+    diagonal kernels, in increasing order: a pending pair is separated at
+    the first kernel where y's coset does not carry the label of x's orbit.
+    Orbit labels are shared by all pairs at a kernel, and the scan stops
+    once every pair is separated. Each separation is re-checked by plain
+    sifting in a fresh quotient. An optional modulus budget additionally
+    caps every individual modulus; pairs left unseparated are reported
+    budget_exhausted."""
+    pairs = [(pres.check_element(x), pres.check_element(y)) for x, y in pairs]
+    results = [DepthResult(False, budget_exhausted=True) for _ in pairs]
+    pending = list(range(len(pairs)))
+    if not pending:
+        return results
+    for order, vec, kernel in congruence_kernels(pres, order_budget):
+        if modulus_budget is not None and max(vec) > modulus_budget:
+            continue
+        labels = _OrbitLabels(pres, phi, _coset_canon(pres, kernel, vec))
+        still = []
+        for k in pending:
+            x, y = pairs[k]
+            # x's orbit is complete before y's label is read, so an
+            # unlabelled y lies outside it
+            label = labels.search(x)
+            if labels.peek(y) == label:
+                still.append(k)
+                continue
+            if not separates(FiniteQuotient(pres, kernel), phi, x, y):
+                raise ValidationError("separation re-check failed")
+            results[k] = DepthResult(True, order, vec)
+        pending = still
+        if not pending:
+            break
+    return results
+
+
 def congruence_depth(pres, phi, x, y, order_budget=DEFAULT_ORDER_BUDGET,
                      check_nonconjugate=True, modulus_budget=None):
-    """The smallest congruence quotient order separating y from [x]_phi,
-    scanning stable diagonal kernels in increasing order. The result is
-    exact among congruence quotients when the scan is exhaustive below the
-    found order; separation is re-verified before reporting. An optional
-    modulus budget additionally caps every individual modulus."""
+    """The smallest congruence quotient order separating y from [x]_phi:
+    the single-pair case of depth_scan. The result is exact among
+    congruence quotients when the scan is exhaustive below the found
+    order."""
     if check_nonconjugate:
         res = is_twisted_conjugate(pres, phi, x, y)
         if isinstance(res, TwistedWitness):
             raise PreconditionError("x and y are twisted conjugate", reason="conjugate")
-    for order, vec, kernel in congruence_kernels(pres, order_budget):
-        if modulus_budget is not None and max(vec) > modulus_budget:
-            continue
-        q = FiniteQuotient(pres, kernel)
-        if separates(q, phi, x, y):
-            if not separates(q, phi, x, y):
-                raise ValidationError("separation re-check failed")
-            return DepthResult(True, order, vec)
-    return DepthResult(False, budget_exhausted=True)
+    return depth_scan(pres, phi, [(x, y)], order_budget, modulus_budget)[0]
 
 
 def full_power_subgroup(pres, m, order_budget=200_000):

@@ -74,3 +74,41 @@ def test_examples_and_witness(capsys):
     assert main(["witness", "lower-bound", "--primes", "2,3"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [w["depth"] for w in data] == [8, 27]
+
+
+def _non_automorphism(tmp_path):
+    # x -> x^2, z -> z^2: a homomorphism of H3 with layer determinant 2
+    from twistsep.malcev import GroupHom
+    from twistsep.serialize import hom_to_dict
+    H = heisenberg()
+    path = tmp_path / "phi.json"
+    dump_json(hom_to_dict(GroupHom(H, H, [(2, 0, 0), (0, 1, 0), (0, 0, 2)])), str(path))
+    return str(path)
+
+
+def test_twisted_chain_rejects_non_automorphism(tmp_path, capsys):
+    assert main(["twisted", "chain", "heisenberg", _non_automorphism(tmp_path)]) == 1
+
+
+def test_twisted_decide_rejects_non_automorphism(tmp_path, capsys):
+    assert main(["twisted", "decide", "heisenberg", _non_automorphism(tmp_path),
+                 "2,0,0", "2,0,1"]) == 1
+
+
+def test_depth_rejects_non_automorphism(tmp_path, capsys):
+    assert main(["depth", "heisenberg", _non_automorphism(tmp_path),
+                 "3,0,0", "3,0,1", "--order-budget", "100"]) == 1
+
+
+def test_growth_rejects_non_automorphism(tmp_path, capsys):
+    cfg = {
+        "group": "heisenberg",
+        "automorphisms": [_non_automorphism(tmp_path)],
+        "radii": [1],
+        "order_budget": 50,
+        "output": str(tmp_path / "rows.csv"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["growth", str(cfg_path)]) == 1
+    assert not (tmp_path / "rows.csv").exists()

@@ -11,7 +11,7 @@ from twistsep.quotients import (CentralQuotientError, FiniteQuotient,
                                 congruence_kernels, congruence_quotient,
                                 full_power_subgroup, induced_automorphism,
                                 one_dim_central_quotient, projected_class,
-                                separate_central, separates, twisted_class,
+                                separate_central, separates,
                                 verify_pullback_reduction)
 from twistsep.subgroups import power_subgroup
 from twistsep.twisted import center
@@ -68,17 +68,16 @@ def test_induced_automorphism():
     assert len({bar5(e) for e in q5.elements()}) == 32
 
 
-def test_twisted_class_singleton_and_partition():
+def test_projected_class_singleton_and_partition():
     q = congruence_quotient(H3, 3)
-    bar = induced_automorphism(q, ID_H3)
-    assert twisted_class(q, bar, (0, 0, 1)) == {(0, 0, 1)}
-    cls = twisted_class(q, bar, H3.gen(0))
+    assert projected_class(q, ID_H3, (0, 0, 1)) == {(0, 0, 1)}
+    cls = projected_class(q, ID_H3, H3.gen(0))
     assert len(cls) == 3
     seen = set()
     total = 0
     for e in q.elements():
         if e not in seen:
-            c = twisted_class(q, bar, e)
+            c = projected_class(q, ID_H3, e)
             seen |= c
             total += len(c)
     assert total == q.order
