@@ -29,15 +29,26 @@ def _load_group(ref):
     return serialize.presentation_from_dict(serialize.load_json(ref))
 
 
+def _parse_ints(text, what):
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(
+            f"{what} {text!r} is not a comma-separated list of integers") from exc
+
+
 def _load_phi(ref, pres):
     """The automorphism named by ref, verified to be one."""
     if ref == "id":
         from .malcev import identity_automorphism
         phi = identity_automorphism(pres)
     elif ref.startswith("heis:"):
-        vals = [int(t) for t in ref.split(":", 1)[1].split(",")]
+        vals = _parse_ints(ref.split(":", 1)[1], "heis: spec")
         if len(vals) == 4:
             vals += [0, 0]
+        if len(vals) != 6:
+            raise ValidationError(
+                f"heis: spec {ref!r} needs 4 or 6 integers a,b,c,d[,e,f]")
         a, b, c, d, e, f = vals
         phi = groups.heisenberg_automorphism(pres, [[a, b], [c, d]], e, f)
     else:
@@ -49,8 +60,7 @@ def _load_phi(ref, pres):
 
 
 def _parse_element(text, pres):
-    vec = tuple(int(t) for t in text.split(","))
-    return pres.check_element(vec)
+    return pres.check_element(_parse_ints(text, "element"))
 
 
 def cmd_group_verify(args):
@@ -153,7 +163,7 @@ def cmd_examples_dim5(args):
 
 
 def cmd_witness_lower_bound(args):
-    primes = [int(t) for t in args.primes.split(",")]
+    primes = _parse_ints(args.primes, "--primes")
     out = lower_bound_witnesses(primes)
     printable = [{"prime": w["prime"], "depth": w["depth"],
                   "moduli": list(w["moduli"])} for w in out]

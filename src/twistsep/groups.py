@@ -1,5 +1,6 @@
 """Built-in presentations used throughout the tests, experiments and docs."""
 
+from .errors import ValidationError
 from .malcev import MalcevPresentation, GroupHom
 
 
@@ -74,7 +75,7 @@ def heisenberg_automorphism(p, A, e=0, f=0):
     (a, b), (c, d) = A
     D = a * d - b * c
     if D not in (1, -1):
-        raise ValueError("matrix must have determinant +-1")
+        raise ValidationError(f"matrix {A} must have determinant +-1, not {D}")
     return GroupHom(p, p, [
         (a, c, e - a * c),
         (b, d, f - b * d),

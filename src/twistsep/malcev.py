@@ -2,27 +2,107 @@
 torsion-free nilpotent groups.
 
 Elements are exponent vectors (tuples of ints): the vector (e_1, ..., e_h)
-is the normal form a_1^e_1 ... a_h^e_h over the weighted basis. The group
-law is evaluated by collection from the left. For every pair j > i the
-presentation stores the normal form of [a_j, a_i] = a_j a_i a_j^-1 a_i^-1,
-supported on generators of strictly larger weight; from these the
-constructor bootstraps conjugation tables a_j^(a_i^+-1), processing j from
-the deepest generator upward so each step only needs tables already built.
+is the normal form a_1^e_1 ... a_h^e_h over the weighted basis. For every
+pair j > i the presentation stores the normal form of
+[a_j, a_i] = a_j a_i a_j^-1 a_i^-1, supported on generators of weight at
+least w_i + w_j.
 
-Nilpotency class at most 2 gets a closed-form fast path (vector addition
-plus a bilinear correction), cross-checked against generic collection in
-the test suite.
+One group law serves every nilpotency class. In such a basis each
+coordinate of g*h and of g^n is an integer-valued polynomial of weighted
+degree at most the coordinate's weight (P. Hall, Nilpotent groups, 1957;
+Leedham-Green and Soicher, Symbolic collection using Deep Thought, 1998).
+The constructor interpolates these polynomials from collection at small
+non-negative points, compiles them to straight-line integer code, and
+checks the compiled law against collection at a fixed sample of other
+points. Generic collection from the left stays as that bootstrap and as
+the reference the tests compare against: it bootstraps conjugation
+tables a_j^(a_i^+-1), processing j from the deepest generator upward so
+each step only needs tables already built.
 """
 
-from dataclasses import dataclass
+import itertools
 import math
+import random
 
 from .errors import BudgetExceededError, ValidationError
 from . import lattice as lin
 
 DEFAULT_BALL_CAP = 10_000_000
+# fixed sample on which the compiled law is checked against collection
+LAW_CHECK_SEED = 20240214
+LAW_CHECK_SAMPLES = 4
+# interpolation points per weight layer; UT(6, Z) needs about 6,000
+LAW_GRID_CAP = 20_000
 
 Element = tuple  # exponent vector over the Mal'cev basis
+
+
+def _multi_indices(weights, budget):
+    """The exponent tuples a with sum(a_v * weights[v]) <= budget, a
+    downward-closed set, as a list; BudgetExceededError beyond
+    LAW_GRID_CAP of them."""
+    def gen(k, left):
+        if k == len(weights):
+            yield ()
+            return
+        for e in range(left // weights[k] + 1):
+            for rest in gen(k + 1, left - e * weights[k]):
+                yield (e,) + rest
+
+    grid = list(itertools.islice(gen(0, budget), LAW_GRID_CAP + 1))
+    if len(grid) > LAW_GRID_CAP:
+        raise BudgetExceededError(
+            f"the group law of weight {budget} needs more than the cap of "
+            f"{LAW_GRID_CAP} interpolation points")
+    return grid
+
+
+def _binomial_coefficients(values):
+    """Coefficients c_a with f(x) = sum_a c_a prod_v C(x_v, a_v), from the
+    values f(a) (lists, one entry per output) on a downward-closed set of
+    points: forward differences along each variable in turn."""
+    c = {a: list(v) for a, v in values.items()}
+    for v in range(len(next(iter(c)))):
+        order = sorted(c, key=lambda a: a[v], reverse=True)
+        for j in range(1, order[0][v] + 1):
+            for a in order:
+                if a[v] < j:
+                    break
+                below = c[a[:v] + (a[v] - 1,) + a[v + 1:]]
+                c[a] = [x - y for x, y in zip(c[a], below)]
+    return c
+
+
+def _poly_source(linear, terms, names, binoms):
+    """Source of linear + sum c * prod C(names[v], a_v) over (c, a) in
+    terms; records the binomials C(name, d >= 2) it uses in binoms."""
+    src = linear
+    for c, a in terms:
+        factors = []
+        for name, d in zip(names, a):
+            if d == 1:
+                factors.append(name)
+            elif d > 1:
+                factors.append(f"{name}_{d}")
+                binoms.add((name, d))
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        src += (" - " if c < 0 else " + ") + "*".join(factors)
+    return src
+
+
+def _function_source(signature, vectors, exprs, binoms, h):
+    """def signature: unpack each vector argument v into v0..v{h-1}, define
+    the binomials as exact floor divisions of consecutive products, and
+    return the tuple of exprs."""
+    lines = [f"def {signature}:"]
+    for v in vectors if h else ():
+        lines.append("    " + "".join(f"{v}{t}, " for t in range(h)) + f"= {v}")
+    for var, d in sorted(binoms):
+        product = " * ".join([var] + [f"({var} - {i})" for i in range(1, d)])
+        lines.append(f"    {var}_{d} = {product} // {math.factorial(d)}")
+    lines.append("    return (" + "".join(e + ", " for e in exprs) + ")")
+    return "\n".join(lines)
 
 
 class MalcevPresentation:
@@ -30,8 +110,9 @@ class MalcevPresentation:
 
     basis: generator names a_1..a_h, sorted by nondecreasing weight.
     weights: weight (lower central series layer) per generator.
-    commutators: {(j, i): exponent vector of [a_j, a_i]} for j > i; missing
-        pairs commute.
+    commutators: {(j, i): exponent vector of [a_j, a_i]} for j > i,
+        supported on generators of weight >= w_i + w_j; missing pairs
+        commute.
     """
 
     def __init__(self, basis, weights, commutators, nilpotency_class=None):
@@ -57,23 +138,23 @@ class MalcevPresentation:
             v = tuple(vec)
             if len(v) != self.h:
                 raise ValidationError("commutator vectors must have full length")
-            w = max(self.weights[i], self.weights[j])
+            w = self.weights[i] + self.weights[j]
             for t, e in enumerate(v):
-                if e and self.weights[t] <= w:
+                if e and self.weights[t] < w:
                     raise ValidationError(
-                        f"[{self.basis[j]},{self.basis[i]}] has support of weight <= max")
+                        f"[{self.basis[j]},{self.basis[i]}] has support of weight < {w}")
             if any(v):
                 self.commutators[(j, i)] = v
         self.identity = (0,) * self.h
-        self._is_two_step = self.nilpotency_class <= 2
         self._build_tables()
+        self._compile_law()
+        self._check_law()
 
     # -- construction of conjugation tables -------------------------------
 
     def _build_tables(self):
         h = self.h
         unit = lambda i: tuple(1 if t == i else 0 for t in range(h))
-        self._conj_pow_cache = {}
         self._cplus = {}   # (j, i) -> a_i^-1 a_j a_i
         self._cminus = {}  # (j, i) -> a_i a_j a_i^-1
         for j in range(h - 1, -1, -1):
@@ -102,18 +183,13 @@ class MalcevPresentation:
                 continue
             if j <= i:
                 raise ValidationError("conjugation support error")
-            key = (j, i, eps, e)
-            cached = self._conj_pow_cache.get(key)
-            if cached is None:
-                cached = self._pow_generic(table[(j, i)], e)
-                if len(self._conj_pow_cache) < 200_000:
-                    self._conj_pow_cache[key] = cached
-            out = self._mul_generic(cached, out)
+            out = self._mul_generic(self._pow_generic(table[(j, i)], e), out)
         return out
 
     def _conj(self, vec, i, t):
         """a_i^-t * vec * a_i^t by binary splitting on t."""
-        if t == 0 or not any(vec):
+        # a_i commutes with every generator in the support of vec
+        if t == 0 or all((j, i) not in self.commutators for j, e in enumerate(vec) if e):
             return tuple(vec)
         if t == 1 or t == -1:
             return self._conj_single(vec, i, t)
@@ -124,11 +200,9 @@ class MalcevPresentation:
         """g * a_i^t in normal form."""
         if t == 0:
             return tuple(g)
-        prefix = list(g[:i])
-        tail = tuple(0 if k <= i else g[k] for k in range(self.h))
+        tail = (0,) * (i + 1) + tuple(g[i + 1:])
         conj_tail = self._conj(tail, i, t)
-        out = prefix + [g[i] + t] + list(conj_tail[i + 1:])
-        return tuple(out)
+        return tuple(g[:i]) + (g[i] + t,) + conj_tail[i + 1:]
 
     def _mul_generic(self, g, hvec):
         out = tuple(g)
@@ -147,20 +221,89 @@ class MalcevPresentation:
         return out
 
     def _pow_generic(self, g, n):
-        if n == 0:
-            return self.identity
+        support = [j for j, e in enumerate(g) if e]
+        # the generators in the support of g commute: g^n = (n * g_k)_k
+        if all((j, i) not in self.commutators for j in support for i in support if i < j):
+            return tuple(n * e for e in g)
         if n < 0:
             return self._inv_generic(self._pow_generic(g, -n))
         result = self.identity
         base = tuple(g)
-        while n:
+        while True:
             if n & 1:
                 result = self._mul_generic(result, base)
-            base = self._mul_generic(base, base)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = self._mul_generic(base, base)
 
-    # -- public arithmetic (fast path for class <= 2) ----------------------
+    # -- the compiled group law ---------------------------------------------
+
+    def _compile_law(self):
+        """Interpolate the product and power polynomials and compile them.
+
+        For a coordinate k of weight w, (g*h)_k = g_k + h_k + q_k and
+        (g^n)_k = n*g_k + r_k, where q_k and r_k are polynomials in the
+        coordinates of weight < w, r_k also in n with degree <= w. Their
+        coefficients in the binomial basis prod C(x_v, a_v) are integers,
+        read off by forward differences of generic collection on the
+        non-negative points a of weighted degree sum a_v w_v <= w.
+        """
+        h = self.h
+
+        def point(idx, vals):
+            out = [0] * h
+            for t, e in zip(idx, vals):
+                out[t] = e
+            return tuple(out)
+
+        prod = [f"g{k} + h{k}" for k in range(h)]
+        power = [f"n * g{k}" for k in range(h)]
+        prod_binoms, pow_binoms = set(), set()
+        for w in sorted(set(self.weights)):
+            low = [t for t in range(h) if self.weights[t] < w]
+            if not low:
+                continue
+            layer = self.layer_indices(w)
+            low_w = [self.weights[t] for t in low]
+            prod_values = {}
+            for a in _multi_indices(low_w * 2, w):
+                gh = self._mul_generic(point(low, a[:len(low)]), point(low, a[len(low):]))
+                prod_values[a] = [gh[k] for k in layer]
+            pow_values = {}
+            for a in _multi_indices(low_w, w):
+                for n in range(w + 1):
+                    gn = self._pow_generic(point(low, a), n)
+                    pow_values[(n,) + a] = [gn[k] for k in layer]
+            for values, exprs, names, binoms in (
+                    (prod_values, prod, [f"g{t}" for t in low] + [f"h{t}" for t in low],
+                     prod_binoms),
+                    (pow_values, power, ["n"] + [f"g{t}" for t in low], pow_binoms)):
+                coeffs = _binomial_coefficients(values)
+                for col, k in enumerate(layer):
+                    terms = [(c[col], a) for a, c in coeffs.items() if c[col]]
+                    exprs[k] = _poly_source(exprs[k], terms, names, binoms)
+        source = (_function_source("mult(g, h)", "gh", prod, prod_binoms, h) + "\n"
+                  + _function_source("pow(g, n)", "g", power, pow_binoms, h))
+        namespace = {}
+        exec(compile(source, "<malcev group law>", "exec"), {"__builtins__": {}}, namespace)
+        self._mult, self._pow = namespace["mult"], namespace["pow"]
+
+    def _check_law(self):
+        """Compare the compiled law with generic collection on a fixed
+        sample outside the interpolation grid (g has a negative entry)."""
+        rng = random.Random(LAW_CHECK_SEED)
+        for _ in range(LAW_CHECK_SAMPLES if self.h else 0):
+            g = (-rng.randint(1, 2),) + tuple(rng.randint(-2, 2) for _ in range(self.h - 1))
+            hvec = tuple(rng.randint(-2, 2) for _ in range(self.h))
+            n = rng.randint(-3, 3)
+            if (self._mult(g, hvec) != self._mul_generic(g, hvec)
+                    or self._pow(g, n) != self._pow_generic(g, n)):
+                raise ValidationError(
+                    f"collection is not polynomial at g={g}, h={hvec}, n={n}: "
+                    "the presentation is inconsistent")
+
+    # -- public arithmetic ----------------------------------------------------
 
     def check_element(self, g):
         if len(g) != self.h:
@@ -168,42 +311,13 @@ class MalcevPresentation:
         return tuple(g)
 
     def mult(self, g, hvec):
-        if self._is_two_step:
-            out = [a + b for a, b in zip(g, hvec)]
-            for (j, i), v in self.commutators.items():
-                c = g[j] * hvec[i]
-                if c:
-                    for t, e in enumerate(v):
-                        if e:
-                            out[t] += c * e
-            return tuple(out)
-        return self._mul_generic(g, hvec)
+        return self._mult(g, hvec)
 
     def inv(self, g):
-        if self._is_two_step:
-            out = [-x for x in g]
-            for (j, i), v in self.commutators.items():
-                c = g[j] * g[i]
-                if c:
-                    for t, e in enumerate(v):
-                        if e:
-                            out[t] += c * e
-            return tuple(out)
-        return self._inv_generic(g)
+        return self._pow(g, -1)
 
     def pow(self, g, n):
-        if self._is_two_step:
-            out = [n * x for x in g]
-            c2 = n * (n - 1) // 2
-            if c2:
-                for (j, i), v in self.commutators.items():
-                    c = c2 * g[j] * g[i]
-                    if c:
-                        for t, e in enumerate(v):
-                            if e:
-                                out[t] += c * e
-            return tuple(out)
-        return self._pow_generic(g, n)
+        return self._pow(g, n)
 
     def comm(self, g, hvec):
         return self.mult(self.mult(g, hvec), self.inv(self.mult(hvec, g)))
@@ -301,10 +415,21 @@ def verify_presentation(p):
         problems.append("class does not equal the maximal weight")
     # commutator supports were checked at construction; re-verify
     for (j, i), v in p.commutators.items():
-        w = max(p.weights[i], p.weights[j])
+        w = p.weights[i] + p.weights[j]
         for t, e in enumerate(v):
-            if e and p.weights[t] <= w:
+            if e and p.weights[t] < w:
                 problems.append(f"commutator ({j},{i}) support too shallow")
+    # overlap consistency (Sims, ch. 9): a_k (a_j a_i) = (a_k a_j) a_i for
+    # k > j > i, also with a_j or a_i inverted
+    for k in range(p.h):
+        x = p.gen(k)
+        for j in range(k):
+            for i in range(j):
+                if any(p.mult(p.mult(x, y), z) != p.mult(x, p.mult(y, z))
+                       for y in (p.gen(j), p.inv(p.gen(j)))
+                       for z in (p.gen(i), p.inv(p.gen(i)))):
+                    problems.append(
+                        f"overlap ({p.basis[k]},{p.basis[j]},{p.basis[i]}) is not associative")
     # each layer w >= 2 must be spanned by commutators [a_k, a_m] with
     # weight(a_k) = 1 and weight(a_m) = w - 1, with index one
     for w in range(2, p.nilpotency_class + 1):

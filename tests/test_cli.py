@@ -112,3 +112,24 @@ def test_growth_rejects_non_automorphism(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["growth", str(cfg_path)]) == 1
     assert not (tmp_path / "rows.csv").exists()
+
+
+def _assert_input_error(argv, capsys):
+    assert main(argv) == 1
+    assert any(line.startswith("error:")
+               for line in capsys.readouterr().err.splitlines())
+
+
+def test_heis_spec_with_determinant_two_is_error(capsys):
+    _assert_input_error(["twisted", "decide", "heisenberg", "heis:2,0,0,1",
+                         "1,0,0", "1,0,1"], capsys)
+
+
+def test_heis_spec_with_three_entries_is_error(capsys):
+    _assert_input_error(["twisted", "decide", "heisenberg", "heis:1,0,0",
+                         "1,0,0", "1,0,1"], capsys)
+
+
+def test_non_integer_element_is_error(capsys):
+    _assert_input_error(["twisted", "decide", "heisenberg", "id",
+                         "1,x,0", "1,0,1"], capsys)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistsep.errors import BudgetExceededError, ValidationError
 from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
-                             heisenberg_automorphism)
+                             heisenberg_automorphism, ut4)
 from twistsep.malcev import (GroupHom, MalcevPresentation, automorphism_norm,
                              ball, ball_with_distances, commutator,
                              generating_set_spans, identity_automorphism,
@@ -18,6 +18,31 @@ SEED = 20240214
 
 H3 = heisenberg()
 D5 = dim5()
+U4 = ut4()
+
+
+def unitriangular(n):
+    """UT(n, Z) on the elementary matrices x_ij, ordered by superdiagonal:
+    [x_ab, x_cd] = x_ad when b = c, x_cb^-1 when d = a, else trivial."""
+    pos = sorted(((i, j) for i in range(n) for j in range(i + 1, n)),
+                 key=lambda p: (p[1] - p[0], p[0]))
+    index = {p: t for t, p in enumerate(pos)}
+    comms = {}
+    for q, (c, d) in enumerate(pos):
+        for p in range(q + 1, len(pos)):
+            a, b = pos[p]
+            v = [0] * len(pos)
+            if b == c:
+                v[index[(a, d)]] = 1
+            elif d == a:
+                v[index[(c, b)]] = -1
+            if any(v):
+                comms[(p, q)] = tuple(v)
+    return MalcevPresentation([f"x{i + 1}{j + 1}" for i, j in pos],
+                              [j - i for i, j in pos], comms)
+
+
+U5 = unitriangular(5)  # class 4, Hirsch length 10
 
 
 def h3_law(g, h):
@@ -73,7 +98,7 @@ def test_d5_matches_oracle(g, h):
 
 def test_group_laws_random():
     rng = random.Random(SEED)
-    for pres, width in ((H3, 3), (D5, 5), (free_abelian(4), 4)):
+    for pres, width in ((H3, 3), (D5, 5), (free_abelian(4), 4), (U4, 6), (U5, 10)):
         for _ in range(1000):
             g, h, k = (tuple(rng.randint(-25, 25) for _ in range(width))
                        for _ in range(3))
@@ -85,13 +110,35 @@ def test_group_laws_random():
 
 def test_generic_collection_agrees_with_fast_path():
     rng = random.Random(SEED + 1)
-    for pres, width in ((H3, 3), (D5, 5)):
-        for _ in range(150):
-            g = tuple(rng.randint(-8, 8) for _ in range(width))
-            h = tuple(rng.randint(-8, 8) for _ in range(width))
+    # generic collection slows steeply with class and exponent size, so
+    # the deeper groups are compared at smaller exponents
+    for pres, width, bound, n, samples in ((H3, 3, 8, 7, 150), (D5, 5, 8, 7, 150),
+                                           (free_abelian(4), 4, 8, 7, 150),
+                                           (U4, 6, 3, 3, 100), (U5, 10, 2, 3, 30)):
+        for _ in range(samples):
+            g = tuple(rng.randint(-bound, bound) for _ in range(width))
+            h = tuple(rng.randint(-bound, bound) for _ in range(width))
             assert pres._mul_generic(g, h) == pres.mult(g, h)
             assert pres._inv_generic(g) == pres.inv(g)
-            assert pres._pow_generic(g, 7) == pres.pow(g, 7)
+            assert pres._pow_generic(g, n) == pres.pow(g, n)
+            assert pres._pow_generic(g, -n) == pres.pow(g, -n)
+
+
+def test_unitriangular_builder_matches_ut4():
+    assert unitriangular(4).commutators == U4.commutators
+    assert verify_presentation(U5) == []
+    assert U5.nilpotency_class == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(-50, 50)] * 6), st.tuples(*[st.integers(-50, 50)] * 6),
+       st.tuples(*[st.integers(-50, 50)] * 6), st.integers(-40, 40), st.integers(-40, 40))
+def test_ut4_group_laws(g, h, k, m, n):
+    assert U4.mult(U4.mult(g, h), k) == U4.mult(g, U4.mult(h, k))
+    assert U4.mult(g, U4.inv(g)) == U4.identity == U4.mult(U4.inv(g), g)
+    assert U4.pow(g, m + n) == U4.mult(U4.pow(g, m), U4.pow(g, n))
+    assert U4.pow(g, m * n) == U4.pow(U4.pow(g, m), n)
+    assert U4.pow(g, -n) == U4.inv(U4.pow(g, n))
 
 
 def test_dim5_commutators():
@@ -123,6 +170,40 @@ def test_verify_presentation():
     bad = MalcevPresentation(["x", "y", "z", "w"], [1, 1, 2, 2],
                              {(1, 0): (0, 0, 2, 0)})
     assert any("index" in p or "rank" in p for p in verify_presentation(bad))
+
+
+def test_commutator_support_below_weight_sum_is_rejected():
+    # [z, y] of two weight-2 generators must lie in weight >= 4; weight 3
+    # is deeper than both, but would break the degree bound of the law
+    with pytest.raises(ValidationError, match=r"\[z,y\]"):
+        MalcevPresentation(["x", "y", "z", "t"], [1, 2, 2, 3], {(2, 1): (0, 0, 0, 1)})
+
+
+def test_law_interpolation_has_a_budget():
+    # H3 with z given weight 60: a valid filtration, but the degree-60
+    # interpolation grid is far beyond the cap
+    with pytest.raises(BudgetExceededError, match="interpolation points"):
+        MalcevPresentation(["x", "y", "z"], [1, 1, 60], {(1, 0): (0, 0, -1)})
+
+
+def test_inconsistent_presentations_are_rejected():
+    # weights (1,1,1,2,2,3), [b,a] = d, [c,b] = e and weight-3 tails
+    # [c,a] = f^2, [d,b] = f, [e,a] = f^2, [e,b] = f^-2: collection on it is
+    # not associative and not polynomial, so the compiled law disagrees
+    # with it on the constructor's check sample
+    with pytest.raises(ValidationError, match="inconsistent"):
+        MalcevPresentation(list("abcdef"), [1, 1, 1, 2, 2, 3], {
+            (1, 0): (0, 0, 0, 1, 0, 0), (2, 1): (0, 0, 0, 0, 1, 0),
+            (2, 0): (0, 0, 0, 0, 0, 2), (3, 1): (0, 0, 0, 0, 0, 1),
+            (4, 0): (0, 0, 0, 0, 0, 2), (4, 1): (0, 0, 0, 0, 0, -2)})
+    # here collection is polynomial but not associative; the overlap check
+    # names the triple
+    pres = MalcevPresentation(list("abcde"), [1, 1, 2, 3, 4], {
+        (1, 0): (0, 0, 0, -1, 0), (2, 0): (0, 0, 0, -1, 1), (3, 1): (0, 0, 0, 0, -1)})
+    a, b, c = pres.gen(0), pres.gen(1), pres.gen(2)
+    assert pres._mul_generic(pres._mul_generic(c, b), a) != \
+        pres._mul_generic(c, pres._mul_generic(b, a))
+    assert "overlap (c,b,a) is not associative" in verify_presentation(pres)
 
 
 def test_verify_hom_and_automorphisms():

@@ -88,6 +88,22 @@ def test_powers_match_matrix_oracle():
         assert U.pow(g, -3) == U.inv(U.pow(g, 3))
 
 
+def test_large_exponents_match_matrix_oracle():
+    rng = random.Random(SEED + 7)
+    for _ in range(200):
+        g = tuple(rng.randint(-50, 50) for _ in range(6))
+        h = tuple(rng.randint(-50, 50) for _ in range(6))
+        assert U.mult(g, h) == from_matrix(mat_mul4(to_matrix(g), to_matrix(h)))
+        assert mat_mul4(to_matrix(g), to_matrix(U.inv(g))) == mat_identity()
+    for _ in range(20):
+        g = tuple(rng.randint(-50, 50) for _ in range(6))
+        M = mat_identity()
+        for _ in range(37):
+            M = mat_mul4(M, to_matrix(g))
+        assert U.pow(g, 37) == from_matrix(M)
+        assert U.pow(g, -37) == U.inv(from_matrix(M))
+
+
 def test_root_class3():
     rng = random.Random(SEED + 3)
     for _ in range(60):
