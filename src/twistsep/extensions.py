@@ -12,7 +12,7 @@ n_{ij} s_{k(i,j)}. Elements are pairs (n, i) meaning n * s_i.
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ValidationError
-from .malcev import GroupHom, identity_automorphism
+from .malcev import GroupHom, _ball_distances, breadth_first, identity_automorphism
 from .subgroups import intersect_finite_index
 from .quotients import congruence_depth
 from .twisted import TwistedWitness, is_twisted_conjugate
@@ -199,34 +199,10 @@ def is_conjugate_virtual(ext, phi, x, y):
 def ball_ext(ext, n, cap=500_000):
     """Ball of radius n in the extension over kernel standard generators
     plus the nontrivial coset representatives."""
-    gens = []
     p = ext.kernel
-    for g in p.standard_gens():
-        gens.append(ext.element(g, 0))
-    for i in range(1, ext.r):
-        gens.append(ext.element(p.identity, i))
-    steps = []
-    seen_steps = set()
-    for g in gens:
-        for s in (g, ext.inv(g)):
-            key = (s.n, s.coset)
-            if key not in seen_steps and s != ext.identity:
-                seen_steps.add(key)
-                steps.append(s)
-    dist = {ext.identity: 0}
-    frontier = [ext.identity]
-    for radius in range(1, n + 1):
-        nxt = []
-        for e in frontier:
-            for s in steps:
-                t = ext.mult(e, s)
-                if t not in dist:
-                    dist[t] = radius
-                    nxt.append(t)
-                    if len(dist) > cap:
-                        raise BudgetExceededError("extension ball exceeded cap")
-        frontier = nxt
-    return dist
+    gens = [ext.element(g, 0) for g in p.standard_gens()]
+    gens += [ext.element(p.identity, i) for i in range(1, ext.r)]
+    return _ball_distances(ext, gens, n, cap, "extension ball")
 
 
 def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
@@ -254,7 +230,9 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
             # the quotient G/N already separates this part
             part_orders.append(ext.r)
             continue
-        res = congruence_depth(p, f, p.identity, d.n, order_budget)
+        # is_conjugate_virtual above has decided this part non-conjugate
+        res = congruence_depth(p, f, p.identity, d.n, order_budget,
+                               check_nonconjugate=False)
         if not res.separated:
             raise BudgetExceededError("no separating congruence quotient for a part")
         part_orders.append(res.order)
@@ -275,31 +253,25 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
         else:
             raise BudgetExceededError("core stabilization did not converge")
     order = (combined.index() if combined else 1) * ext.r
-    # verify separation in the finite quotient of G by orbit enumeration
+    # verify separation in the finite quotient G/K by orbit enumeration on
+    # coset forms: K is normal in G and phi-invariant once stable, so the
+    # moves act on its cosets
     if combined is None:
-        canon = lambda g: (p.identity, g.coset)
+        canon = lambda g: ExtElement(p.identity, g.coset)
     else:
-        canon = lambda g: (combined.coset_rep(g.n), g.coset)
+        canon = lambda g: ExtElement(combined.coset_rep(g.n), g.coset)
     moves = []
     for g in ext.generators():
         moves.append((g, ext.inv(phi.apply(g))))
         moves.append((ext.inv(g), phi.apply(g)))
-    start = canon(x)
-    reps = {start: x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for u, v in moves:
-                t = ext.mult(ext.mult(u, e), v)
-                key = canon(t)
-                if key not in reps:
-                    reps[key] = t
-                    nxt.append(t)
-                    if len(reps) > order:
-                        raise ValidationError("orbit escaped the quotient order")
-        frontier = nxt
-    separated = canon(y) not in reps
+    orbit = breadth_first(canon(x), moves,
+                          lambda e, uv: canon(ext.mult(ext.mult(uv[0], e), uv[1])),
+                          cap=order, name="orbit in the combined quotient")
+    target = canon(y)
+    try:
+        separated = all(t != target for t, _, _ in orbit)
+    except BudgetExceededError as exc:
+        raise ValidationError("orbit escaped the quotient order") from exc
     if not separated:
         raise ValidationError("combined quotient failed to separate")
     bound = 1

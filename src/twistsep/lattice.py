@@ -59,10 +59,6 @@ def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
 
 
-def mat_eq(A, B):
-    return A == B
-
-
 def det(M):
     """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
     n = len(M)

@@ -528,78 +528,85 @@ def verify_hom(f, check_automorphism=False):
     return problems
 
 
-def is_automorphism(f):
-    return not verify_hom(f, check_automorphism=True)
+# -- breadth-first search, balls and word metrics ----------------------------
 
 
-# -- balls and word metrics --------------------------------------------------
+def breadth_first(start, moves, step, key=None, cap=math.inf, name="search"):
+    """Lazy breadth-first search from start, where step(e, m) is the
+    element reached from e along move m; a repeated move is taken once.
+
+    Yields (start, None, 0), then (t, first, depth) for every move from
+    every element reached, level by level: t is reached at distance depth,
+    and first is the element seen before with the key of t (key defaults
+    to t itself), or None when t is the first, which is then expanded.
+    Raises BudgetExceededError naming the budget and its cap once more
+    than cap keys are seen; the check follows the yield, so a consumer
+    that stops at the element passing the cap gets no error."""
+    seen = {start if key is None else key(start): start}
+    yield start, None, 0
+    moves = list(dict.fromkeys(moves))
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for e in frontier:
+            for m in moves:
+                t = step(e, m)
+                k = t if key is None else key(t)
+                first = seen.get(k)
+                yield t, first, depth
+                if first is None:
+                    seen[k] = t
+                    nxt.append(t)
+                    if len(seen) > cap:
+                        raise BudgetExceededError(
+                            f"{name} exceeded its cap of {cap} elements")
+        frontier = nxt
+
+
+def _cayley_walk(group, gens, cap, name):
+    """breadth_first from the identity of group (anything with mult, inv
+    and identity) over gens and their inverses."""
+    steps = [s for g in gens for s in (g, group.inv(g))]
+    return breadth_first(group.identity, steps, group.mult, cap=cap, name=name)
+
+
+def _ball_distances(group, gens, n, cap, name):
+    dist = {}
+    for t, first, depth in _cayley_walk(group, gens, cap, name):
+        if depth > n:
+            break
+        if first is None:
+            dist[t] = depth
+    return dist
 
 
 def ball(p, gens, n, cap=DEFAULT_BALL_CAP):
     """All elements of word length <= n over gens united with their
     inverses, as a sorted list. Raises BudgetExceededError at the cap."""
-    dist = ball_with_distances(p, gens, n, cap)
-    return sorted(dist)
+    return sorted(ball_with_distances(p, gens, n, cap))
 
 
 def ball_with_distances(p, gens, n, cap=DEFAULT_BALL_CAP):
-    steps = []
-    seen_steps = set()
-    for g in gens:
-        for s in (p.check_element(g), p.inv(g)):
-            if s != p.identity and s not in seen_steps:
-                seen_steps.add(s)
-                steps.append(s)
-    dist = {p.identity: 0}
-    frontier = [p.identity]
-    for radius in range(1, n + 1):
-        nxt = []
-        for g in frontier:
-            for s in steps:
-                e = p.mult(g, s)
-                if e not in dist:
-                    dist[e] = radius
-                    nxt.append(e)
-                    if len(dist) > cap:
-                        raise BudgetExceededError(
-                            f"ball enumeration exceeded the cap of {cap} elements")
-        frontier = nxt
-        if not frontier:
-            break
-    return dist
+    """The word length of every element of the n-ball, in breadth-first
+    order."""
+    return _ball_distances(p, [p.check_element(g) for g in gens], n, cap,
+                           "ball enumeration")
 
 
 def word_length(p, gens, g, cap=64, count_cap=DEFAULT_BALL_CAP):
     """Exact word length of g by breadth-first search; raises
     BudgetExceededError when the radius or element cap is hit."""
     g = p.check_element(g)
-    if g == p.identity:
-        return 0
-    steps = []
-    seen_steps = set()
-    for s0 in gens:
-        for s in (p.check_element(s0), p.inv(s0)):
-            if s != p.identity and s not in seen_steps:
-                seen_steps.add(s)
-                steps.append(s)
-    dist = {p.identity: 0}
-    frontier = [p.identity]
-    for radius in range(1, cap + 1):
-        nxt = []
-        for e in frontier:
-            for s in steps:
-                t = p.mult(e, s)
-                if t == g:
-                    return radius
-                if t not in dist:
-                    dist[t] = radius
-                    nxt.append(t)
-                    if len(dist) > count_cap:
-                        raise BudgetExceededError("word length search exceeded the element cap")
-        frontier = nxt
-        if not frontier:
+    walk = _cayley_walk(p, [p.check_element(s) for s in gens], count_cap,
+                        "word length search")
+    for t, _, depth in walk:
+        if depth > cap:
             break
-    raise BudgetExceededError(f"word length of {g} exceeds the cap {cap}")
+        if t == g:
+            return depth
+    raise BudgetExceededError(f"word length of {g} exceeds the radius cap of {cap}")
 
 
 def word_length_upper(p, g):

@@ -18,7 +18,8 @@ import operator
 
 from .errors import BudgetExceededError, PreconditionError, ValidationError
 from . import lattice as lin
-from .malcev import MalcevPresentation, GroupHom, compose_with_inner, verify_presentation
+from .malcev import (MalcevPresentation, GroupHom, breadth_first, compose_with_inner,
+                     verify_presentation)
 from .subgroups import InducedSequence, diagonal_kernel, power_subgroup
 from .twisted import (TwistedWitness, blackburn_constants, center,
                       is_twisted_conjugate, twisted_chain, _vp)
@@ -58,21 +59,10 @@ class FiniteQuotient:
     def subgroup_image(self, gens):
         """The subgroup of the quotient generated by images of gens, as a
         set of canonical forms."""
-        p = self.pres
         images = [self.canon(g) for g in gens]
-        seen = {self.canon(p.identity)}
-        frontier = [self.canon(p.identity)]
-        steps = images + [self.inv(g) for g in images]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for s in steps:
-                    t = self.mult(e, s)
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return seen
+        walk = breadth_first(self.canon(self.pres.identity),
+                             images + [self.inv(g) for g in images], self.mult)
+        return {t for t, first, _ in walk if first is None}
 
 
 def congruence_quotient(pres, m, order_budget=None):
@@ -126,19 +116,8 @@ def projected_class(q, phi, x):
         fa = phi.apply(a)
         moves.append((q.canon(a), q.canon(p.inv(fa))))
         moves.append((q.canon(p.inv(a)), q.canon(fa)))
-    start = q.canon(x)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for u, v in moves:
-                t = q.mult(q.mult(u, e), v)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return seen
+    walk = breadth_first(q.canon(x), moves, lambda e, uv: q.mult(q.mult(uv[0], e), uv[1]))
+    return {t for t, first, _ in walk if first is None}
 
 
 def separates(q, phi, x, y):
@@ -194,7 +173,13 @@ class _OrbitLabels:
     twisted classes, labelled lazily: an orbit is searched in full the first
     time one of its elements asks for its label. Each generator acts as a
     permutation of the finite set N/K, so its inverse is one of its powers
-    and the searches need only the generators' own moves."""
+    and the searches need only the generators' own moves.
+
+    search is written out rather than run through malcev.breadth_first:
+    every orbit at a kernel writes into one shared label map, and this
+    loop, the depth scans' hot path, does without the helper's per-move
+    yield and step call. Keeping it apart also keeps the sifting re-check
+    in depth_scan independent of it."""
 
     def __init__(self, pres, phi, canon):
         self.canon = canon
@@ -233,7 +218,8 @@ def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
     the first kernel where y's coset does not carry the label of x's orbit.
     Orbit labels are shared by all pairs at a kernel, and the scan stops
     once every pair is separated. Each separation is re-checked by plain
-    sifting in a fresh quotient. An optional modulus budget additionally
+    sifting in a fresh quotient, which enumerates x's class once per
+    kernel however many pairs share x. An optional modulus budget additionally
     caps every individual modulus; pairs left unseparated are reported
     budget_exhausted."""
     pairs = [(pres.check_element(x), pres.check_element(y)) for x, y in pairs]
@@ -245,6 +231,7 @@ def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
         if modulus_budget is not None and max(vec) > modulus_budget:
             continue
         labels = _OrbitLabels(pres, phi, _coset_canon(pres, kernel, vec))
+        quotient, classes = FiniteQuotient(pres, kernel), {}
         still = []
         for k in pending:
             x, y = pairs[k]
@@ -254,7 +241,9 @@ def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
             if labels.peek(y) == label:
                 still.append(k)
                 continue
-            if not separates(FiniteQuotient(pres, kernel), phi, x, y):
+            if x not in classes:
+                classes[x] = projected_class(quotient, phi, x)
+            if quotient.canon(y) in classes[x]:
                 raise ValidationError("separation re-check failed")
             results[k] = DepthResult(True, order, vec)
         pending = still

@@ -163,18 +163,6 @@ def depth_result_to_dict(x, y, phi_id, result):
     }
 
 
-def depth_results_csv(entries, path):
-    """Depth results as CSV rows (x, y, phi, order, moduli)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "phi", "separated", "order", "moduli"])
-        for x, y, phi_id, result in entries:
-            w.writerow([";".join(map(str, x)), ";".join(map(str, y)), phi_id,
-                        int(result.separated),
-                        "" if result.order is None else result.order,
-                        "" if result.moduli is None else ";".join(map(str, result.moduli))])
-
-
 def lattice_report_csv(rows, path):
     """Experiment rows (sample_id, rank, norm, det, ratio) as CSV."""
     with open(path, "w", newline="") as fh:

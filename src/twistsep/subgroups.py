@@ -14,6 +14,7 @@ import math
 
 from .errors import BudgetExceededError, ValidationError
 from .lattice import xgcd
+from .malcev import breadth_first
 
 
 def _lead(g):
@@ -234,35 +235,16 @@ def schreier_kernel(pres, canon_fns, budget=1_000_000):
     via a Schreier transversal over the joint canonical forms.
 
     canon_fns: callables mapping an element to a hashable canonical form.
+    Each edge t*s that reaches a known state gives the Schreier generator
+    t*s*rep^-1, rep the transversal element of that state.
     """
     p = pres
     gens = [p.gen(i) for i in range(p.h)]
-    steps = gens + [p.inv(g) for g in gens]
-
-    def state(g):
-        return tuple(fn(g) for fn in canon_fns)
-
-    transversal = {state(p.identity): p.identity}
-    frontier = [p.identity]
-    schreier = []
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in steps:
-                e = p.mult(t, s)
-                st = state(e)
-                rep = transversal.get(st)
-                if rep is None:
-                    transversal[st] = e
-                    nxt.append(e)
-                    if len(transversal) > budget:
-                        raise BudgetExceededError("Schreier enumeration exceeded budget")
-                else:
-                    gen = p.mult(e, p.inv(rep))
-                    if any(gen):
-                        schreier.append(gen)
-        frontier = nxt
-    return InducedSequence.from_generators(pres, schreier)
+    walk = breadth_first(p.identity, gens + [p.inv(g) for g in gens], p.mult,
+                         key=lambda g: tuple(fn(g) for fn in canon_fns),
+                         cap=budget, name="Schreier transversal")
+    schreier = [p.mult(e, p.inv(rep)) for e, rep, _ in walk if rep is not None]
+    return InducedSequence.from_generators(pres, [g for g in schreier if any(g)])
 
 
 def intersect_finite_index(pres, seqs, budget=1_000_000):

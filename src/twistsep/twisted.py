@@ -15,7 +15,8 @@ import math
 
 from .errors import PreconditionError, TwistsepError, ValidationError
 from . import lattice as lin
-from .malcev import GroupHom, compose_with_inner, inner_automorphism, word_length_upper
+from .malcev import (GroupHom, breadth_first, compose_with_inner, inner_automorphism,
+                     word_length_upper)
 from .subgroups import InducedSequence, power_subgroup
 
 
@@ -125,10 +126,6 @@ def twisted_chain(pres, phi):
         if len(cache) < 512:
             cache[key] = hit
     return hit
-
-
-def centralizer_chain(pres, x):
-    return twisted_chain(pres, inner_automorphism(pres, x))
 
 
 def center(pres):
@@ -311,33 +308,18 @@ def _realize_class(pres, gens, coeffs):
 
 
 def _deepen_into_congruence(pres, u, next_seq, level, budget=200_000):
-    """Find eta in next_seq with u*eta in the level-congruence kernel, by a
-    breadth-first search over the finite quotient. Returns u*eta or None."""
+    """Find eta in next_seq with u*eta in the level-congruence kernel K, by
+    a breadth-first search over the cosets K*u*eta (K is normal, so they
+    follow the cosets K*eta). Returns u*eta, or None when no eta exists;
+    raises BudgetExceededError past budget cosets."""
     K = power_subgroup(pres, level)
-    if K.contains(u):
-        return u
-    target = K.coset_rep(pres.inv(u))
     gens = next_seq.generators()
-    if not gens:
-        return None
-    seen = {K.coset_rep(pres.identity): pres.identity}
-    frontier = [pres.identity]
-    steps = gens + [pres.inv(g) for g in gens]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for s in steps:
-                t = pres.mult(e, s)
-                c = K.coset_rep(t)
-                if c not in seen:
-                    seen[c] = t
-                    nxt.append(t)
-                    if len(seen) > budget:
-                        return None
-        if target in seen:
-            return pres.mult(u, seen[target])
-        frontier = nxt
-    return pres.mult(u, seen[target]) if target in seen else None
+    walk = breadth_first(u, gens + [pres.inv(g) for g in gens], pres.mult,
+                         key=K.coset_rep, cap=budget, name="congruence deepening search")
+    for t, first, _ in walk:
+        if first is None and K.contains(t):
+            return t
+    return None
 
 
 def solve_power_twisted(pres, phi, p, k, x):

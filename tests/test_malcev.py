@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistsep.errors import BudgetExceededError, ValidationError
+from twistsep.extensions import ball_ext, heisenberg_semidirect_c2
 from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
                              heisenberg_automorphism, ut4)
 from twistsep.malcev import (GroupHom, MalcevPresentation, automorphism_norm,
@@ -13,6 +15,8 @@ from twistsep.malcev import (GroupHom, MalcevPresentation, automorphism_norm,
                              multiply, power, root, subgroup_norm_upper,
                              verify_hom, verify_presentation, word_length,
                              word_length_upper)
+from twistsep.subgroups import InducedSequence, power_subgroup, schreier_kernel
+from twistsep.twisted import _deepen_into_congruence
 
 SEED = 20240214
 
@@ -130,15 +134,19 @@ def test_unitriangular_builder_matches_ut4():
     assert U5.nilpotency_class == 4
 
 
+@pytest.mark.parametrize("pres", [H3, D5, free_abelian(4), U4],
+                         ids=["heisenberg", "dim5", "free_abelian4", "ut4"])
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(*[st.integers(-50, 50)] * 6), st.tuples(*[st.integers(-50, 50)] * 6),
        st.tuples(*[st.integers(-50, 50)] * 6), st.integers(-40, 40), st.integers(-40, 40))
-def test_ut4_group_laws(g, h, k, m, n):
-    assert U4.mult(U4.mult(g, h), k) == U4.mult(g, U4.mult(h, k))
-    assert U4.mult(g, U4.inv(g)) == U4.identity == U4.mult(U4.inv(g), g)
-    assert U4.pow(g, m + n) == U4.mult(U4.pow(g, m), U4.pow(g, n))
-    assert U4.pow(g, m * n) == U4.pow(U4.pow(g, m), n)
-    assert U4.pow(g, -n) == U4.inv(U4.pow(g, n))
+def test_builtin_group_laws(pres, g, h, k, m, n):
+    # every built-in group has Hirsch length <= 6
+    g, h, k = g[:pres.h], h[:pres.h], k[:pres.h]
+    assert pres.mult(pres.mult(g, h), k) == pres.mult(g, pres.mult(h, k))
+    assert pres.mult(g, pres.inv(g)) == pres.identity == pres.mult(pres.inv(g), g)
+    assert pres.pow(g, m + n) == pres.mult(pres.pow(g, m), pres.pow(g, n))
+    assert pres.pow(g, m * n) == pres.pow(pres.pow(g, m), n)
+    assert pres.pow(g, -n) == pres.inv(pres.pow(g, n))
 
 
 def test_dim5_commutators():
@@ -262,6 +270,28 @@ def test_word_length():
         gh = multiply(H3, g, h)
         if gh in dist:
             assert dist[gh] <= dist[g] + dist[h]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: ball(H3, H3.standard_gens(), 8, cap=10),
+     "ball enumeration exceeded its cap of 10 elements"),
+    (lambda: word_length(H3, H3.standard_gens(), (0, 0, 40), cap=6),
+     "word length of (0, 0, 40) exceeds the radius cap of 6"),
+    (lambda: word_length(H3, H3.standard_gens(), (0, 0, 40), count_cap=50),
+     "word length search exceeded its cap of 50 elements"),
+    (lambda: ball_ext(heisenberg_semidirect_c2(), 6, cap=20),
+     "extension ball exceeded its cap of 20 elements"),
+    (lambda: schreier_kernel(H3, [power_subgroup(H3, 3).coset_rep], budget=5),
+     "Schreier transversal exceeded its cap of 5 elements"),
+    # u = z^2 reaches the level-8 kernel by z^-2, two moves away
+    (lambda: _deepen_into_congruence(H3, (0, 0, 2), InducedSequence(H3, {2: (0, 0, 1)}),
+                                     8, budget=2),
+     "congruence deepening search exceeded its cap of 2 elements"),
+], ids=["ball", "word_length_radius", "word_length_elements", "ball_ext",
+        "schreier_kernel", "deepen_into_congruence"])
+def test_budget_errors_name_their_budget(run, message):
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+        run()
 
 
 def test_central_square_length_inequality():
