@@ -6,8 +6,8 @@ from .errors import (BudgetExceededError, PreconditionError, TwistsepError,
                      ValidationError)
 from .malcev import (GroupHom, MalcevPresentation, ball, commutator,
                      identity_automorphism, inner_automorphism, inverse,
-                     lower_central_series, multiply, power, root,
-                     verify_hom, verify_presentation, word_length)
+                     multiply, power, root, verify_hom, verify_presentation,
+                     word_length)
 from .groups import dim5, dim5_automorphism, free_abelian, heisenberg, \
     heisenberg_automorphism, ut4
 from .subgroups import InducedSequence, power_subgroup

@@ -15,18 +15,35 @@ from .growth import (ExperimentConfig, dim5_scenario, fit_exponent,
                      growth_rows_to_csv, heisenberg_case,
                      heisenberg_central_pair_rows, lower_bound_witnesses,
                      measure_conj_growth, plot_script_for)
-from .malcev import verify_hom, verify_presentation
+from .malcev import identity_automorphism, verify_hom, verify_presentation
 from .quotients import congruence_depth
 from .twisted import TwistedChain, TwistedWitness, is_twisted_conjugate
 
 
-def _load_group(ref):
-    builtin = {"heisenberg": groups.heisenberg, "dim5": groups.dim5}
-    if ref in builtin:
-        return builtin[ref]()
+_BUILTIN_GROUPS = {"heisenberg": groups.heisenberg, "dim5": groups.dim5}
+
+
+def _read_group(ref):
+    """The built-in group ref names (heisenberg, dim5, abelian:k), or the
+    presentation in the JSON file ref, unverified."""
+    if ref in _BUILTIN_GROUPS:
+        return _BUILTIN_GROUPS[ref]()
     if ref.startswith("abelian:"):
         return groups.free_abelian(int(ref.split(":", 1)[1]))
     return serialize.presentation_from_dict(serialize.load_json(ref))
+
+
+def _load_group(ref):
+    """_read_group(ref); a presentation from a file must also pass
+    verify_presentation, else a ValidationError lists its problems."""
+    pres = _read_group(ref)
+    if ref in _BUILTIN_GROUPS or ref.startswith("abelian:"):
+        return pres
+    problems = verify_presentation(pres)
+    if problems:
+        raise ValidationError(
+            "presentation verification failed: " + "; ".join(problems))
+    return pres
 
 
 def _parse_ints(text, what):
@@ -40,7 +57,6 @@ def _parse_ints(text, what):
 def _load_phi(ref, pres):
     """The automorphism named by ref, verified to be one."""
     if ref == "id":
-        from .malcev import identity_automorphism
         phi = identity_automorphism(pres)
     elif ref.startswith("heis:"):
         vals = _parse_ints(ref.split(":", 1)[1], "heis: spec")
@@ -64,7 +80,7 @@ def _parse_element(text, pres):
 
 
 def cmd_group_verify(args):
-    pres = _load_group(args.group)
+    pres = _read_group(args.group)
     problems = verify_presentation(pres)
     if problems:
         for p in problems:

@@ -10,10 +10,13 @@ n_{ij} s_{k(i,j)}. Elements are pairs (n, i) meaning n * s_i.
 """
 
 from dataclasses import dataclass
+import random
 
 from .errors import BudgetExceededError, ValidationError
-from .malcev import GroupHom, _ball_distances, breadth_first, identity_automorphism
-from .subgroups import intersect_finite_index
+from .groups import free_abelian, heisenberg, heisenberg_automorphism
+from .malcev import (GroupHom, _ball_distances, breadth_first, identity_automorphism,
+                     verify_hom)
+from .subgroups import diagonal_kernel, intersect_finite_index
 from .quotients import congruence_depth
 from .twisted import TwistedWitness, is_twisted_conjugate
 
@@ -131,7 +134,6 @@ class ExtAutomorphism:
             raise ValidationError("identity coset must map to itself trivially")
         if sorted(self.perm) != list(range(ext.r)):
             raise ValidationError("coset map must be a permutation")
-        from .malcev import verify_hom
         problems = verify_hom(restriction, check_automorphism=True)
         if problems:
             raise ValidationError("restriction to the kernel: " + "; ".join(problems))
@@ -145,7 +147,6 @@ class ExtAutomorphism:
     def _check(self):
         ext = self.ext
         p = ext.kernel
-        import random
         rng = random.Random(11)
         samples = [ext.element(p.identity, i) for i in range(ext.r)]
         samples += [ext.element(p.gen(i), 0) for i in range(p.h)]
@@ -236,7 +237,6 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
         if not res.separated:
             raise BudgetExceededError("no separating congruence quotient for a part")
         part_orders.append(res.order)
-        from .subgroups import diagonal_kernel
         kernels.append(diagonal_kernel(p, res.moduli))
     if not kernels:
         combined = None
@@ -290,7 +290,6 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
 
 def z_semidirect_c2():
     """Z x| C2 with the inversion action (the infinite dihedral group)."""
-    from .groups import free_abelian
     Z = free_abelian(1)
     inv_auto = GroupHom(Z, Z, [(-1,)])
     return FiniteExtension(Z, [identity_automorphism(Z), inv_auto],
@@ -299,7 +298,6 @@ def z_semidirect_c2():
 
 def heisenberg_semidirect_c2():
     """H3 x| C2 where the involution negates x and y and fixes z."""
-    from .groups import heisenberg, heisenberg_automorphism
     H = heisenberg()
     neg = heisenberg_automorphism(H, [[-1, 0], [0, -1]])
     return FiniteExtension(H, [identity_automorphism(H), neg],

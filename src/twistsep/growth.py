@@ -17,7 +17,7 @@ from . import lattice as lin
 from .malcev import (automorphism_norm, ball_with_distances, compose_with_inner,
                      identity_automorphism, verify_hom, word_length,
                      word_length_upper)
-from .groups import dim5, dim5_automorphism, heisenberg, heisenberg_automorphism
+from .groups import dim5, dim5_automorphism, heisenberg
 from .quotients import congruence_depth, depth_scan, one_dim_central_quotient
 from .twisted import TwistedWitness, is_twisted_conjugate, twisted_chain
 
@@ -151,26 +151,6 @@ plt.savefig("growth.png", dpi=150)
 
 
 # -- Heisenberg specifics -----------------------------------------------------
-
-
-def heisenberg_family(entry_bound, include_shears=True, shear_bound=1):
-    """All automorphisms (A, e, f) with |entries| <= entry_bound and
-    det A = +-1 (the shear range kept small to bound the family size)."""
-    p = heisenberg()
-    out = []
-    rng = range(-entry_bound, entry_bound + 1)
-    shears = range(-shear_bound, shear_bound + 1) if include_shears else (0,)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c in (1, -1):
-                        for e in shears:
-                            for f in shears:
-                                name = f"A[{a},{b};{c},{d}]e{e}f{f}"
-                                out.append((name, heisenberg_automorphism(
-                                    p, [[a, b], [c, d]], e, f)))
-    return p, out
 
 
 def heisenberg_case(pres, phi, samples=50, seed=DEFAULT_SEED):

@@ -9,9 +9,7 @@ sublattices a plain list comparison.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import math
-import random
 
 from .errors import PreconditionError, ValidationError
 
@@ -352,76 +350,6 @@ def isolator_index(L):
     return math.prod(invariant_factors(L.rows))
 
 
-@dataclass
-class AbelianGroup:
-    """Z^rank x Z/d1 x ... with the invariant-factor divisibility chain."""
-
-    rank: int
-    torsion: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for d in self.torsion:
-            if d < 2:
-                raise ValidationError("invariant factors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a != 0:
-                raise ValidationError("invariant factors must form a divisibility chain")
-
-    @property
-    def dim(self):
-        return self.rank + len(self.torsion)
-
-    def reduce(self, v):
-        """Componentwise reduction of a raw vector into canonical form."""
-        out = list(v)
-        for k, d in enumerate(self.torsion):
-            out[self.rank + k] %= d
-        return out
-
-
-class AbelianHom:
-    """A homomorphism between f.g. abelian groups, given by an integer matrix
-    acting on column vectors of domain coordinates."""
-
-    def __init__(self, domain, codomain, matrix):
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = [list(r) for r in matrix]
-        if len(self.matrix) != codomain.dim:
-            raise ValidationError("matrix rows must match codomain dimension")
-        if self.matrix and any(len(r) != domain.dim for r in self.matrix):
-            raise ValidationError("matrix columns must match domain dimension")
-        # well-defined on torsion: the image of d_i * e_i must vanish
-        for k, d in enumerate(domain.torsion):
-            col = [row[domain.rank + k] for row in self.matrix]
-            img = [d * x for x in col]
-            if not self._is_zero(img):
-                raise ValidationError("map is not well defined on torsion")
-
-    def _is_zero(self, v):
-        for i in range(self.codomain.rank):
-            if v[i] != 0:
-                return False
-        for k, d in enumerate(self.codomain.torsion):
-            if v[self.codomain.rank + k] % d != 0:
-                return False
-        return True
-
-    def apply(self, v):
-        return self.codomain.reduce(mat_vec(self.matrix, v))
-
-    def image_lattice(self):
-        """Image as a lattice in the free part coordinates (torsion-free
-        codomain assumed for the lattice picture)."""
-        if self.codomain.torsion:
-            raise ValidationError("image_lattice needs a torsion-free codomain")
-        return Lattice.from_rows(self.codomain.dim, transpose(self.matrix))
-
-    def det(self):
-        """det in the subgroup sense: [sqrt(image) : image] of the image."""
-        return isolator_index(self.image_lattice())
-
-
 def kernel_basis(matrix):
     """Row basis of {v : M v = 0}."""
     m = len(matrix)
@@ -440,7 +368,7 @@ def kernel_with_construction(matrix):
     v_j = iota(x_j) - D * e_{k+j} where x_j solves M x_j = D * M e_{k+j}.
 
     Returns (generators, max_abs_entry). The generators span a finite-index
-    sublattice of the kernel; the max entry feeds the norm experiments.
+    sublattice of the kernel.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -480,18 +408,12 @@ def kernel_with_construction(matrix):
     return gens, max_entry
 
 
-def image_membership(f, b):
-    """Some preimage a with f(a) = b, or None. Accepts AbelianHom or matrix."""
-    M = f.matrix if isinstance(f, AbelianHom) else f
-    return solve(M, list(b))
-
-
-def p_power_preimage(f, b, p, k):
-    """Given b in image(f) and b in p^(k + v_p(det f)) * B, return a preimage
-    a in p^k * A. Raises PreconditionError naming the failed condition."""
-    M = f.matrix if isinstance(f, AbelianHom) else f
+def p_power_preimage(M, b, p, k):
+    """Given b in the image of M and b in p^(k + v_p(det M)) * Z^m, return a
+    preimage a in p^k * Z^n; det M is the isolator index of the image.
+    Raises PreconditionError naming the failed condition."""
     b = list(b)
-    d = f.det() if isinstance(f, AbelianHom) else isolator_index(Lattice.from_rows(len(M), transpose(M)))
+    d = isolator_index(Lattice.from_rows(len(M), transpose(M)))
     vp = 0
     dd = d
     while dd % p == 0:
@@ -511,54 +433,3 @@ def p_power_preimage(f, b, p, k):
         raise PreconditionError(
             "p^v_p(det) * (b / p^(k+v)) escaped the image", reason="membership")
     return [(p ** k) * x for x in atilde]
-
-
-def cramer_preimage(M, b):
-    """Unique preimage of b under an injective square matrix, with the
-    certified coefficient bound k! * max(|M|, |b|)^k / |det M|.
-
-    Returns (a, bound) where a is None when the rational solution is not
-    integral. Raises on a singular matrix.
-    """
-    n = len(M)
-    if any(len(r) != n for r in M):
-        raise ValidationError("cramer_preimage needs a square matrix")
-    d = det(M)
-    if d == 0:
-        raise ValidationError("singular matrix")
-    xs = []
-    for i in range(n):
-        Mi = [row[:] for row in M]
-        for r in range(n):
-            Mi[r][i] = b[r]
-        xs.append(Fraction(det(Mi), d))
-    entry_bound = max([abs(x) for row in M for x in row] + [abs(x) for x in b] + [1])
-    bound = math.factorial(n) * entry_bound ** n // abs(d)
-    if all(x.denominator == 1 for x in xs):
-        return [int(x) for x in xs], bound
-    return None, bound
-
-
-def det_norm_experiment(ambient_rank, samples, seed=20240214, entry_bound=30,
-                        sub_rank=2, threshold=None):
-    """Sample random sublattices, compare det (isolator index) against the
-    max-entry norm proxy raised to the rank. Returns a list of report rows
-    (sample_id, rank, norm, det, ratio) and asserts boundedness when a
-    threshold is supplied."""
-    rng = random.Random(seed)
-    rows_out = []
-    for sid in range(samples):
-        while True:
-            gens = [[rng.randint(-entry_bound, entry_bound) for _ in range(ambient_rank)]
-                    for _ in range(sub_rank)]
-            L = Lattice.from_rows(ambient_rank, gens)
-            if L.rank == sub_rank:
-                break
-        norm = max(abs(x) for row in gens for x in row)
-        d = isolator_index(L)
-        ratio = Fraction(d, norm ** sub_rank) if norm else Fraction(0)
-        rows_out.append((sid, sub_rank, norm, d, ratio))
-        if threshold is not None and ratio > threshold:
-            raise AssertionError(
-                f"sample {sid}: det/norm^rank ratio {ratio} exceeds threshold {threshold}")
-    return rows_out

@@ -382,31 +382,6 @@ def power(p, g, n):
     return p.pow(p.check_element(g), n)
 
 
-def lower_central_series(p):
-    """Layer description: for each weight w, the basis indices of gamma_w
-    modulo gamma_{w+1}, its rank, and the canonical generating set of
-    left-normed commutators of length w in the weight-1 generators."""
-    out = []
-    gens1 = [p.gen(i) for i in p.layer_indices(1)]
-    current = list(gens1)
-    for w in range(1, p.nilpotency_class + 1):
-        if w > 1:
-            nxt = []
-            for g in current:
-                for a in gens1:
-                    c = p.comm(a, g)
-                    if any(c):
-                        nxt.append(c)
-            current = nxt
-        out.append({
-            "weight": w,
-            "indices": p.layer_indices(w),
-            "rank": p.layer_rank(w),
-            "commutator_gens": list(current),
-        })
-    return out
-
-
 def verify_presentation(p):
     """Check the adaptedness invariants constructively. Returns a list of
     violation strings, empty when the presentation passes."""
@@ -666,18 +641,6 @@ def _central_norm_upper_two_step(p, coords):
     return bound
 
 
-def subgroup_norm_upper(p, gens, subgroup_gens, cap=64, count_cap=DEFAULT_BALL_CAP):
-    """Upper bound for the subgroup norm: max exact word length over the
-    supplied generators (the true minimum over all generating sets is out
-    of scope)."""
-    best = 0
-    for g in subgroup_gens:
-        if p.check_element(g) == p.identity:
-            continue
-        best = max(best, word_length(p, gens, g, cap, count_cap))
-    return best
-
-
 def automorphism_norm(p, gens, phi, cap=64, count_cap=DEFAULT_BALL_CAP):
     """max word length of phi(s) over s in gens."""
     best = 0
@@ -686,16 +649,6 @@ def automorphism_norm(p, gens, phi, cap=64, count_cap=DEFAULT_BALL_CAP):
         ln = 0 if img == p.identity else word_length(p, gens, img, cap, count_cap)
         best = max(best, ln)
     return best
-
-
-def generating_set_spans(p, gens, cap=6, count_cap=200_000):
-    """Check that gens generate the whole group by locating every basis
-    generator inside a ball of the given radius."""
-    try:
-        d = ball_with_distances(p, gens, cap, count_cap)
-    except BudgetExceededError:
-        return False
-    return all(p.gen(i) in d for i in range(p.h))
 
 
 def root(p, g, m):

@@ -66,23 +66,8 @@ class FiniteQuotient:
 
 
 def congruence_quotient(pres, m, order_budget=None):
-    """N modulo the level-m congruence kernel; order m^h, with the
-    CRT-style per-prime factorization checked."""
-    q = FiniteQuotient(pres, power_subgroup(pres, m), order_budget)
-    check = 1
-    mm = m
-    d = 2
-    while mm > 1:
-        if mm % d == 0:
-            pk = 1
-            while mm % d == 0:
-                mm //= d
-                pk *= d
-            check *= pk ** pres.h
-        d += 1
-    if m > 1 and check != q.order:
-        raise ValidationError("per-prime order factorization failed")
-    return q
+    """N modulo the level-m congruence kernel; order m^h."""
+    return FiniteQuotient(pres, power_subgroup(pres, m), order_budget)
 
 
 def induced_automorphism(q, phi):

@@ -1,12 +1,10 @@
-"""JSON and CSV interchange. All integers travel as decimal strings so
-that arbitrary-precision values survive any JSON reader."""
+"""JSON interchange. All integers travel as decimal strings so that
+arbitrary-precision values survive any JSON reader."""
 
-import csv
 import json
 
 from .errors import ValidationError
 from .malcev import GroupHom, MalcevPresentation
-from .extensions import FiniteExtension
 
 
 def _encode_int(n):
@@ -98,10 +96,6 @@ def matrix_to_json(M):
     return [[_encode_int(e) for e in row] for row in M]
 
 
-def matrix_from_json(data):
-    return [[_decode_int(e) for e in row] for row in data]
-
-
 def chain_to_dict(chain):
     p = chain.pres
     out = {"levels": [], "fixed": [list(map(_encode_int, g))
@@ -130,27 +124,6 @@ def witness_to_dict(pres, phi, witness):
     }
 
 
-def extension_to_dict(ext):
-    return {
-        "kernel": presentation_to_dict(ext.kernel),
-        "reps": list(ext.rep_names),
-        "actions": [hom_to_dict(a) for a in ext.actions],
-        "cocycle": {f"{i},{j}": {"coset": k, "element": [_encode_int(e) for e in n]}
-                    for (i, j), (k, n) in ext.cocycle.items()},
-    }
-
-
-def extension_from_dict(data):
-    kernel = presentation_from_dict(data["kernel"])
-    actions = [hom_from_dict(a, kernel) for a in data["actions"]]
-    cocycle = {}
-    for key, val in data.get("cocycle", {}).items():
-        i, j = (int(t) for t in key.split(","))
-        cocycle[(i, j)] = (int(val["coset"]), _decode_vector(val["element"], kernel.h))
-    return FiniteExtension(kernel, actions, cocycle,
-                           rep_names=data.get("reps"))
-
-
 def depth_result_to_dict(x, y, phi_id, result):
     return {
         "x": [_encode_int(e) for e in x],
@@ -161,15 +134,6 @@ def depth_result_to_dict(x, y, phi_id, result):
         "moduli": None if result.moduli is None else [_encode_int(m) for m in result.moduli],
         "budget_exhausted": result.budget_exhausted,
     }
-
-
-def lattice_report_csv(rows, path):
-    """Experiment rows (sample_id, rank, norm, det, ratio) as CSV."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "rank", "norm", "det", "ratio"])
-        for sid, rank, norm, d, ratio in rows:
-            w.writerow([sid, rank, norm, d, float(ratio)])
 
 
 def load_json(path):

@@ -162,26 +162,17 @@ class InducedSequence:
 
 def power_subgroup(pres, m):
     """The congruence kernel of level m: the subgroup generated by the
-    m-th powers of the basis generators.
-
-    The generated subgroup consists exactly of the exponent vectors with
-    every coordinate divisible by m (collection corrections of m-divisible
-    letters are m^2-divisible), so it is normal of index m^h. The closure
-    machinery verifies this rather than assuming it. Results are cached on
-    the presentation; sequences are immutable after construction.
+    m-th powers of the basis generators, which is the uniform diagonal
+    kernel diagonal_kernel(pres, (m,) * h). Its stability (checked there,
+    in closed form for class <= 2 and by the closure otherwise) makes it
+    normal of index m^h, with every coordinate of a member divisible by m.
     """
     if m < 1:
         raise ValidationError("power subgroup level must be >= 1")
-    cache = pres.__dict__.setdefault("_power_subgroup_cache", {})
-    if m in cache:
-        return cache[m]
-    gens = [pres.pow(pres.gen(i), m) for i in range(pres.h)]
-    seq = InducedSequence.from_generators(
-        pres, gens, conjugators=[pres.gen(i) for i in range(pres.h)])
-    if seq.index() != m ** pres.h:
+    seq = diagonal_kernel(pres, (m,) * pres.h)
+    if seq is None:
         raise ValidationError(
-            f"basis power subgroup of level {m} has unexpected index {seq.index()}")
-    cache[m] = seq
+            f"basis power subgroup of level {m} is not a stable diagonal kernel")
     return seq
 
 

@@ -16,7 +16,7 @@ import math
 from .errors import PreconditionError, TwistsepError, ValidationError
 from . import lattice as lin
 from .malcev import (GroupHom, breadth_first, compose_with_inner, inner_automorphism,
-                     word_length_upper)
+                     root, word_length_upper)
 from .subgroups import InducedSequence, power_subgroup
 
 
@@ -283,7 +283,6 @@ def blackburn_root(pres, p, k, x):
     """The p^k-th root of x, for x in the level-p^(k+k(p,c)) congruence
     kernel. Membership is the precondition; existence of the root then
     follows and the returned equation is verified exactly."""
-    from .malcev import root as nth_root
     kc, _ = blackburn_constants(p, pres.nilpotency_class)
     level = p ** (k + kc)
     member = power_subgroup(pres, level).contains(x)
@@ -291,7 +290,7 @@ def blackburn_root(pres, p, k, x):
         raise PreconditionError(
             f"x is not in the congruence kernel of level p^(k + k(p,c)) = {level}",
             reason="membership")
-    y = nth_root(pres, x, p ** k)
+    y = root(pres, x, p ** k)
     if y is None:
         raise TwistsepError("guaranteed root does not exist; arithmetic bug")
     if pres.pow(y, p ** k) != x:

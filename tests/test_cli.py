@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from twistsep.cli import main
 from twistsep.groups import heisenberg
+from twistsep.malcev import MalcevPresentation
 from twistsep.serialize import dump_json, presentation_to_dict
 
 
@@ -133,3 +136,35 @@ def test_heis_spec_with_three_entries_is_error(capsys):
 def test_non_integer_element_is_error(capsys):
     _assert_input_error(["twisted", "decide", "heisenberg", "id",
                          "1,x,0", "1,0,1"], capsys)
+
+
+def _non_associative_group(tmp_path):
+    # weights (1,1,2,3,4): collection is polynomial but the overlap
+    # (c,b,a) is not associative, so group verify rejects it
+    pres = MalcevPresentation(list("abcde"), [1, 1, 2, 3, 4], {
+        (1, 0): (0, 0, 0, -1, 0), (2, 0): (0, 0, 0, -1, 1),
+        (3, 1): (0, 0, 0, 0, -1)})
+    path = tmp_path / "nonassoc.json"
+    dump_json(presentation_to_dict(pres), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["twisted", "decide", "{g}", "id", "1,0,0,0,0", "1,0,0,0,1"],
+    ["twisted", "chain", "{g}", "id"],
+    ["depth", "{g}", "id", "1,0,0,0,0", "0,1,0,0,0", "--order-budget", "100"],
+    ["growth", "{cfg}"],
+], ids=["twisted-decide", "twisted-chain", "depth", "growth"])
+def test_commands_reject_a_presentation_group_verify_rejects(argv, tmp_path, capsys):
+    group = _non_associative_group(tmp_path)
+    assert main(["group", "verify", group]) == 1
+    assert "FAIL: overlap (c,b,a) is not associative" in capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": group, "automorphisms": ["id"], "radii": [1],
+                               "order_budget": 50,
+                               "output": str(tmp_path / "rows.csv")}))
+    assert main([a.format(g=group, cfg=cfg) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overlap (c,b,a) is not associative" in captured.err
+    assert not (tmp_path / "rows.csv").exists()

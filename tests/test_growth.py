@@ -9,8 +9,7 @@ from twistsep.groups import (free_abelian, heisenberg,
 from twistsep.growth import (ExperimentConfig, GrowthRow, dim5_scenario,
                              fit_exponent, growth_rows_to_csv,
                              heisenberg_case, heisenberg_central_pair_rows,
-                             heisenberg_family, lower_bound_witnesses,
-                             measure_conj_growth)
+                             lower_bound_witnesses, measure_conj_growth)
 from twistsep.malcev import compose_with_inner, identity_automorphism
 from twistsep.twisted import TwistedChain
 
@@ -50,17 +49,6 @@ def test_classifier_invariant_under_inner_twists():
         g = tuple(rng.randint(-6, 6) for _ in range(3))
         twisted = compose_with_inner(H3, phi, g)
         assert TwistedChain(H3, twisted).subgroup(2).entries == base
-
-
-def test_heisenberg_family_generation():
-    _, fam = heisenberg_family(1, include_shears=False)
-    # 2x2 integer matrices with entries in {-1,0,1} and det +-1
-    mats = {name for name, _ in fam}
-    assert len(fam) == len(mats)
-    assert any("A[1,0;0,1]" in name for name, _ in fam)
-    from twistsep.malcev import verify_hom
-    for _, phi in fam[:10]:
-        assert verify_hom(phi, check_automorphism=True) == []
 
 
 def test_central_pair_rows_and_fit():

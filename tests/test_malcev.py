@@ -10,11 +10,9 @@ from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
                              heisenberg_automorphism, ut4)
 from twistsep.malcev import (GroupHom, MalcevPresentation, automorphism_norm,
                              ball, ball_with_distances, commutator,
-                             generating_set_spans, identity_automorphism,
-                             inner_automorphism, inverse, lower_central_series,
-                             multiply, power, root, subgroup_norm_upper,
-                             verify_hom, verify_presentation, word_length,
-                             word_length_upper)
+                             identity_automorphism, inner_automorphism, inverse,
+                             multiply, power, root, verify_hom,
+                             verify_presentation, word_length, word_length_upper)
 from twistsep.subgroups import InducedSequence, power_subgroup, schreier_kernel
 from twistsep.twisted import _deepen_into_congruence
 
@@ -157,15 +155,13 @@ def test_dim5_commutators():
 
 
 def test_lower_central_series():
-    layers = lower_central_series(H3)
-    assert layers[0]["indices"] == [0, 1] and layers[0]["rank"] == 2
-    assert layers[1]["indices"] == [2] and layers[1]["rank"] == 1
-    assert (0, 0, 1) in layers[1]["commutator_gens"] or \
-        (0, 0, -1) in layers[1]["commutator_gens"]
-    layers5 = lower_central_series(D5)
-    assert layers5[0]["rank"] == 3 and layers5[1]["rank"] == 2
-    layersZ = lower_central_series(free_abelian(4))
-    assert len(layersZ) == 1 and layersZ[0]["rank"] == 4
+    # the weight layers of the basis are the lower central series factors
+    assert H3.layer_indices(1) == [0, 1] and H3.layer_rank(1) == 2
+    assert H3.layer_indices(2) == [2] and H3.layer_rank(2) == 1
+    assert commutator(H3, H3.gen(0), H3.gen(1)) in ((0, 0, 1), (0, 0, -1))
+    assert D5.layer_rank(1) == 3 and D5.layer_rank(2) == 2
+    Z4 = free_abelian(4)
+    assert Z4.nilpotency_class == 1 and Z4.layer_rank(1) == 4
 
 
 def test_verify_presentation():
@@ -316,10 +312,6 @@ def test_word_length_upper_is_upper_bound():
 
 def test_norms():
     S = H3.standard_gens()
-    assert subgroup_norm_upper(H3, S, [H3.identity]) == 0
-    assert subgroup_norm_upper(H3, S, [(0, 0, 1)]) == 4
-    Z = free_abelian(1)
-    assert subgroup_norm_upper(Z, [(1,)], [(6,)]) == 6
     assert automorphism_norm(H3, S, identity_automorphism(H3)) == 1
     shear = GroupHom(H3, H3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
     assert automorphism_norm(H3, S, shear) == 2
@@ -329,11 +321,6 @@ def test_norms():
     comp = phi.compose(psi)
     assert automorphism_norm(H3, S, comp) <= \
         automorphism_norm(H3, S, phi) * automorphism_norm(H3, S, psi)
-
-
-def test_generating_set_spans():
-    assert generating_set_spans(H3, H3.standard_gens())
-    assert not generating_set_spans(H3, [(2, 0, 0), (0, 2, 0)])
 
 
 def test_root_round_trip():

@@ -3,12 +3,9 @@ import json
 import pytest
 
 from twistsep.errors import ValidationError
-from twistsep.extensions import heisenberg_semidirect_c2, z_semidirect_c2
 from twistsep.groups import dim5, dim5_automorphism, heisenberg
 from twistsep.serialize import (chain_to_dict, depth_result_to_dict,
-                                extension_from_dict, extension_to_dict,
-                                hom_from_dict, hom_to_dict, lattice_report_csv,
-                                matrix_from_json, matrix_to_json,
+                                hom_from_dict, hom_to_dict, matrix_to_json,
                                 presentation_from_dict, presentation_to_dict,
                                 witness_to_dict)
 from twistsep.twisted import TwistedChain, is_twisted_conjugate
@@ -58,7 +55,9 @@ def test_hom_round_trip():
 
 def test_matrix_round_trip():
     M = [[10 ** 25, -3], [0, 7]]
-    assert matrix_from_json(json.loads(json.dumps(matrix_to_json(M)))) == M
+    data = json.loads(json.dumps(matrix_to_json(M)))
+    assert data == [[str(10 ** 25), "-3"], ["0", "7"]]
+    assert [[int(e) for e in row] for row in data] == M
 
 
 def test_chain_and_witness_dumps():
@@ -73,27 +72,8 @@ def test_chain_and_witness_dumps():
     assert wd["lhs"] == wd["y"]
 
 
-def test_extension_round_trip():
-    for ext in (z_semidirect_c2(), heisenberg_semidirect_c2()):
-        data = json.loads(json.dumps(extension_to_dict(ext)))
-        back = extension_from_dict(data)
-        assert back.r == ext.r
-        a = back.element(back.kernel.identity, 1)
-        assert back.mult(a, a) == back.identity
-
-
 def test_depth_result_dict():
     from twistsep.quotients import DepthResult
     d = depth_result_to_dict((1, 0, 0), (0, 1, 0), "id",
                              DepthResult(True, 8, (2, 2, 2)))
     assert d["order"] == "8" and d["moduli"] == ["2", "2", "2"]
-
-
-def test_lattice_report_csv(tmp_path):
-    from fractions import Fraction
-    rows = [(0, 2, 5, 10, Fraction(2, 5))]
-    path = tmp_path / "report.csv"
-    lattice_report_csv(rows, str(path))
-    text = path.read_text()
-    assert text.splitlines()[0] == "sample_id,rank,norm,det,ratio"
-    assert "0,2,5,10,0.4" in text

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from twistsep.errors import ValidationError
-from twistsep.groups import dim5, free_abelian, heisenberg
+from twistsep.groups import dim5, free_abelian, heisenberg, ut4
 from twistsep.malcev import multiply, power
 from twistsep.subgroups import (InducedSequence, diagonal_kernel,
                                 enumerate_finite_index_subgroups,
                                 intersect_finite_index, power_subgroup)
+from test_malcev import U5
 
 SEED = 20240214
 H3 = heisenberg()
@@ -30,6 +31,14 @@ def test_power_subgroup_examples():
     assert power_subgroup(H3, 6).index() == 216
     assert power_subgroup(free_abelian(4), 3).index() == 3 ** 4
     assert power_subgroup(D5, 2).index() == 2 ** 5
+    # the uniform diagonal kernel is the generic normal closure of the
+    # basis m-th powers, in every class (U5 is class 4)
+    for pres in (H3, D5, free_abelian(4), ut4(), U5):
+        basis = [pres.gen(i) for i in range(pres.h)]
+        for m in range(1, 9):
+            closure = InducedSequence.from_generators(
+                pres, [pres.pow(a, m) for a in basis], conjugators=basis)
+            assert power_subgroup(pres, m).entries == closure.entries
 
 
 def test_power_subgroup_membership_is_divisibility():
