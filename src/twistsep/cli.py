@@ -24,12 +24,15 @@ _BUILTIN_GROUPS = {"heisenberg": groups.heisenberg, "dim5": groups.dim5}
 
 
 def _read_group(ref):
-    """The built-in group ref names (heisenberg, dim5, abelian:k), or the
-    presentation in the JSON file ref, unverified."""
+    """The built-in group ref names (heisenberg, dim5, abelian:k with
+    k >= 1), or the presentation in the JSON file ref, unverified."""
     if ref in _BUILTIN_GROUPS:
         return _BUILTIN_GROUPS[ref]()
     if ref.startswith("abelian:"):
-        return groups.free_abelian(int(ref.split(":", 1)[1]))
+        ks = _parse_ints(ref.split(":", 1)[1], "abelian: spec")
+        if len(ks) != 1 or ks[0] < 1:
+            raise ValidationError(f"abelian: spec {ref!r} needs one integer k >= 1")
+        return groups.free_abelian(ks[0])
     return serialize.presentation_from_dict(serialize.load_json(ref))
 
 
@@ -121,7 +124,8 @@ def cmd_depth(args):
     print(serialize.dump_json(serialize.depth_result_to_dict(x, y, args.phi, res),
                               args.output))
     if not res.separated:
-        raise BudgetExceededError("no separating congruence quotient within budget")
+        raise BudgetExceededError("no separating congruence quotient within budget",
+                                  budget="order budget", limit=args.order_budget)
 
 
 def cmd_growth(args):
@@ -150,7 +154,8 @@ def cmd_growth(args):
         expo, r2 = fit_exponent(usable)
         print(f"fitted exponent {expo:.3f} (r2 {r2:.3f})")
     if any(r.budget_exhausted for r in rows):
-        raise BudgetExceededError("some rows hit the order budget")
+        raise BudgetExceededError("some rows hit the order budget",
+                                  budget="order budget", limit=config.order_budget)
 
 
 def cmd_examples_heisenberg(args):

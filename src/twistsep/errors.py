@@ -14,7 +14,15 @@ class ValidationError(TwistsepError):
 
 
 class BudgetExceededError(TwistsepError):
-    """An enumeration cap (ball size, quotient order, scan budget) was hit."""
+    """An enumeration cap (ball size, quotient order, scan budget) was hit.
+
+    budget names the budget that stopped the run and limit is its cap.
+    """
+
+    def __init__(self, message, *, budget=None, limit=None):
+        super().__init__(message)
+        self.budget = budget
+        self.limit = limit
 
 
 class PreconditionError(TwistsepError):

@@ -235,7 +235,8 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
         res = congruence_depth(p, f, p.identity, d.n, order_budget,
                                check_nonconjugate=False)
         if not res.separated:
-            raise BudgetExceededError("no separating congruence quotient for a part")
+            raise BudgetExceededError("no separating congruence quotient for a part",
+                                      budget="order budget", limit=order_budget)
         part_orders.append(res.order)
         kernels.append(diagonal_kernel(p, res.moduli))
     if not kernels:
@@ -251,7 +252,8 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
                 break
             combined = merged
         else:
-            raise BudgetExceededError("core stabilization did not converge")
+            raise BudgetExceededError("core stabilization did not converge",
+                                      budget="stabilization rounds", limit=stabilize_rounds)
     order = (combined.index() if combined else 1) * ext.r
     # verify separation in the finite quotient G/K by orbit enumeration on
     # coset forms: K is normal in G and phi-invariant once stable, so the

@@ -201,7 +201,8 @@ def heisenberg_central_pair_rows(radii, order_budget=200):
         ly = word_length(p, gens, y)
         res = congruence_depth(p, phi, xq, y, order_budget)
         if not res.separated:
-            raise BudgetExceededError("central pair depth scan exhausted")
+            raise BudgetExceededError("central pair depth scan exhausted",
+                                      budget="order budget", limit=order_budget)
         pairs.append((max(lx, ly), res.order, xq, y))
     rows = []
     for n in radii:
@@ -232,7 +233,8 @@ def lower_bound_witnesses(primes, translates=3, order_budget=None):
         budget = order_budget or (q ** 3 + 50)
         res = congruence_depth(p, phi, fam[0], fam[1], budget)
         if not res.separated:
-            raise BudgetExceededError(f"no separation within budget for p={q}")
+            raise BudgetExceededError(f"no separation within budget for p={q}",
+                                      budget="order budget", limit=budget)
         out.append({"prime": q, "depth": res.order, "moduli": res.moduli,
                     "family": fam})
     return out

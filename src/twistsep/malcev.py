@@ -53,7 +53,8 @@ def _multi_indices(weights, budget):
     if len(grid) > LAW_GRID_CAP:
         raise BudgetExceededError(
             f"the group law of weight {budget} needs more than the cap of "
-            f"{LAW_GRID_CAP} interpolation points")
+            f"{LAW_GRID_CAP} interpolation points",
+            budget="group law interpolation points", limit=LAW_GRID_CAP)
     return grid
 
 
@@ -536,7 +537,8 @@ def breadth_first(start, moves, step, key=None, cap=math.inf, name="search"):
                     nxt.append(t)
                     if len(seen) > cap:
                         raise BudgetExceededError(
-                            f"{name} exceeded its cap of {cap} elements")
+                            f"{name} exceeded its cap of {cap} elements",
+                            budget=name, limit=cap)
         frontier = nxt
 
 
@@ -581,7 +583,8 @@ def word_length(p, gens, g, cap=64, count_cap=DEFAULT_BALL_CAP):
             break
         if t == g:
             return depth
-    raise BudgetExceededError(f"word length of {g} exceeds the radius cap of {cap}")
+    raise BudgetExceededError(f"word length of {g} exceeds the radius cap of {cap}",
+                              budget="word length radius", limit=cap)
 
 
 def word_length_upper(p, g):

@@ -39,7 +39,8 @@ class FiniteQuotient:
             raise ValidationError("quotient kernel does not have finite index")
         if order_budget is not None and order > order_budget:
             raise BudgetExceededError(
-                f"quotient order {order} exceeds the budget {order_budget}")
+                f"quotient order {order} exceeds the budget {order_budget}",
+                budget="order budget", limit=order_budget)
         self.order = order
 
     def canon(self, g):
@@ -564,4 +565,5 @@ def separate_central(pres, h_gens, x, order_budget=DEFAULT_ORDER_BUDGET):
                         "quotient_hirsch": quotient.h, "order": q.order}
                 return desc, q.order
         m += 1
-    raise BudgetExceededError("no separating congruence quotient within budget")
+    raise BudgetExceededError("no separating congruence quotient within budget",
+                              budget="order budget", limit=order_budget)

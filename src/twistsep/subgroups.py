@@ -83,7 +83,8 @@ class InducedSequence:
                         changed |= self._insert(w)
             if not changed:
                 return
-        raise BudgetExceededError("induced sequence closure did not stabilize")
+        raise BudgetExceededError("induced sequence closure did not stabilize",
+                                  budget="closure passes", limit=max_passes)
 
     def canonicalize(self):
         """Reduce each entry's tail modulo deeper entries, making the

@@ -20,6 +20,14 @@ from .malcev import (GroupHom, breadth_first, compose_with_inner, inner_automorp
 from .subgroups import InducedSequence, power_subgroup
 
 
+def _realize_class(pres, gens, coeffs):
+    g = pres.identity
+    for gen, e in zip(gens, coeffs):
+        if e:
+            g = pres.mult(g, pres.pow(gen, e))
+    return g
+
+
 @dataclass
 class ChainLevel:
     level: int
@@ -33,70 +41,79 @@ class TwistedChain:
     """The descending chain N_1 >= N_2 >= ... >= N_{c+1} for one or several
     automorphisms (several maps give joint displacement chains, used for
     centralizers and centers; determinants are per-map only for a single
-    automorphism)."""
+    automorphism).
+
+    Levels are built on demand: level(i) builds N_i and its psi rows, and
+    N_{i+1} is closed from level i's kernel only when level i+1 or fixed
+    is read. levels, fixed, determinants and norm_report force the whole
+    chain. An inner automorphism acts trivially on every layer
+    gamma_i/gamma_{i+1}, so Inn(x) o phi has phi's psi_1 and hence phi's
+    N_2; is_twisted_conjugate seeds each stage's N_2 from phi's chain,
+    exactly, since equal subgroups have equal canonical sequences."""
 
     def __init__(self, pres, maps):
         if isinstance(maps, GroupHom):
             maps = [maps]
         self.pres = pres
         self.maps = maps
-        self.levels = []
-        self._build()
+        self._seqs = {1: InducedSequence(pres, {i: pres.gen(i) for i in range(pres.h)})}
+        self._levels = {}
 
-    def _displacement(self, g):
+    def _build_level(self, level):
         p = self.pres
-        return [p.mult(g, p.inv(m.apply(g))) for m in self.maps]
+        seq = self.subgroup(level)
+        r = p.layer_rank(level)
+        rows = []
+        for g in seq.generators():
+            row = []
+            for d in (p.mult(g, p.inv(m.apply(g))) for m in self.maps):
+                w = p.weight_of(d)
+                if w is not None and w < level:
+                    raise TwistsepError(
+                        "chain generator displacement is too shallow")
+                row.extend(p.layer_coords(d, level))
+            rows.append(row)
+        image = lin.Lattice.from_rows(r, [row[:r] for row in rows]) if len(self.maps) == 1 \
+            else lin.Lattice.from_rows(r * len(self.maps), rows)
+        return ChainLevel(level, seq, rows, image, lin.isolator_index(image))
 
-    def _build(self):
+    def _close_kernel(self, lv):
+        """N_{i+1}: the kernel of the stacked psi map of level i, closed
+        under commutators and conjugation by N_i."""
         p = self.pres
-        c = p.nilpotency_class
-        seq = InducedSequence(p, {i: p.gen(i) for i in range(p.h)})
-        for level in range(1, c + 1):
-            gens = seq.generators()
-            r = p.layer_rank(level)
-            rows = []
-            for g in gens:
-                row = []
-                for d in self._displacement(g):
-                    w = p.weight_of(d)
-                    if w is not None and w < level:
-                        raise TwistsepError(
-                            "chain generator displacement is too shallow")
-                    row.extend(p.layer_coords(d, level))
-                rows.append(row)
-            image = lin.Lattice.from_rows(r, [row[:r] for row in rows]) if len(self.maps) == 1 \
-                else lin.Lattice.from_rows(r * len(self.maps), rows)
-            D = lin.isolator_index(image)
-            self.levels.append(ChainLevel(level, seq, rows, image, D))
-            # kernel of the stacked psi map gives the next level
-            t = len(gens)
-            M = lin.transpose(rows) if rows else []
-            kern = lin.kernel_basis(M) if t else lin.Lattice(0, [])
-            new_gens = []
-            for v in kern.rows:
-                g = p.identity
-                for gen, e in zip(gens, v):
-                    if e:
-                        g = p.mult(g, p.pow(gen, e))
-                new_gens.append(g)
-            for a in range(t):
-                for b in range(a + 1, t):
-                    cgen = p.comm(gens[a], gens[b])
-                    if any(cgen):
-                        new_gens.append(cgen)
-            seq = InducedSequence.from_generators(p, new_gens, conjugators=gens)
-        self.fixed = seq  # N_{c+1}: common fixed subgroup
+        gens = lv.seq.generators()
+        t = len(gens)
+        M = lin.transpose(lv.psi_rows) if lv.psi_rows else []
+        kern = lin.kernel_basis(M) if t else lin.Lattice(0, [])
+        new_gens = [_realize_class(p, gens, v) for v in kern.rows]
+        for a in range(t):
+            for b in range(a + 1, t):
+                cgen = p.comm(gens[a], gens[b])
+                if any(cgen):
+                    new_gens.append(cgen)
+        return InducedSequence.from_generators(p, new_gens, conjugators=gens)
 
     def level(self, i):
         if not 1 <= i <= self.pres.nilpotency_class:
             raise ValidationError("chain level out of range")
-        return self.levels[i - 1]
+        if i not in self._levels:
+            self._levels[i] = self._build_level(i)
+        return self._levels[i]
 
     def subgroup(self, i):
         """N_i as an induced sequence; i may be c+1 for the fixed subgroup."""
-        if i == self.pres.nilpotency_class + 1:
-            return self.fixed
-        return self.level(i).seq
+        if i not in self._seqs:
+            self._seqs[i] = self._close_kernel(self.level(i - 1))
+        return self._seqs[i]
+
+    @property
+    def levels(self):
+        return [self.level(i) for i in range(1, self.pres.nilpotency_class + 1)]
+
+    @property
+    def fixed(self):
+        """N_{c+1}: the common fixed subgroup."""
+        return self.subgroup(self.pres.nilpotency_class + 1)
 
     def determinants(self):
         if len(self.maps) != 1:
@@ -193,6 +210,7 @@ def is_twisted_conjugate(pres, phi, x, y):
     y = p.check_element(y)
     x_cur = x
     witness = p.identity
+    n2 = twisted_chain(p, phi).subgroup(2)
     for _ in range(p.nilpotency_class + 1):
         d = p.mult(y, p.inv(x_cur))
         if d == p.identity:
@@ -203,16 +221,14 @@ def is_twisted_conjugate(pres, phi, x, y):
         wt = p.weight_of(d)
         phi_x = compose_with_inner(p, phi, x_cur)
         chain = twisted_chain(p, phi_x)
+        chain._seqs.setdefault(2, n2)  # N_2(Inn(x_cur) o phi) = N_2(phi)
         lv = chain.level(wt)
         target = list(p.layer_coords(d, wt))
         M = lin.transpose(lv.psi_rows) if lv.psi_rows else []
         v = lin.solve(M, target) if lv.psi_rows else (None if any(target) else [])
         if v is None:
             return NotTwistedConjugate(wt, tuple(target), lv.image.rows)
-        z = p.identity
-        for gen, e in zip(lv.seq.generators(), v):
-            if e:
-                z = p.mult(z, p.pow(gen, e))
+        z = _realize_class(p, lv.seq.generators(), v)
         x_cur = p.mult(p.mult(z, x_cur), p.inv(phi.apply(z)))
         witness = p.mult(z, witness)
     raise TwistsepError("twisted conjugacy recursion did not terminate")
@@ -296,14 +312,6 @@ def blackburn_root(pres, p, k, x):
     if pres.pow(y, p ** k) != x:
         raise TwistsepError("root verification failed")
     return y
-
-
-def _realize_class(pres, gens, coeffs):
-    g = pres.identity
-    for gen, e in zip(gens, coeffs):
-        if e:
-            g = pres.mult(g, pres.pow(gen, e))
-    return g
 
 
 def _deepen_into_congruence(pres, u, next_seq, level, budget=200_000):

@@ -123,6 +123,11 @@ def _assert_input_error(argv, capsys):
                for line in capsys.readouterr().err.splitlines())
 
 
+@pytest.mark.parametrize("spec", ["abelian:x", "abelian:-1", "abelian:0"])
+def test_bad_abelian_spec_is_error(spec, capsys):
+    _assert_input_error(["group", "verify", spec], capsys)
+
+
 def test_heis_spec_with_determinant_two_is_error(capsys):
     _assert_input_error(["twisted", "decide", "heisenberg", "heis:2,0,0,1",
                          "1,0,0", "1,0,1"], capsys)

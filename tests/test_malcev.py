@@ -13,6 +13,7 @@ from twistsep.malcev import (GroupHom, MalcevPresentation, automorphism_norm,
                              identity_automorphism, inner_automorphism, inverse,
                              multiply, power, root, verify_hom,
                              verify_presentation, word_length, word_length_upper)
+from twistsep.quotients import congruence_quotient
 from twistsep.subgroups import InducedSequence, power_subgroup, schreier_kernel
 from twistsep.twisted import _deepen_into_congruence
 
@@ -268,26 +269,34 @@ def test_word_length():
             assert dist[gh] <= dist[g] + dist[h]
 
 
-@pytest.mark.parametrize("run, message", [
+@pytest.mark.parametrize("run, message, budget, limit", [
     (lambda: ball(H3, H3.standard_gens(), 8, cap=10),
-     "ball enumeration exceeded its cap of 10 elements"),
+     "ball enumeration exceeded its cap of 10 elements", "ball enumeration", 10),
     (lambda: word_length(H3, H3.standard_gens(), (0, 0, 40), cap=6),
-     "word length of (0, 0, 40) exceeds the radius cap of 6"),
+     "word length of (0, 0, 40) exceeds the radius cap of 6", "word length radius", 6),
     (lambda: word_length(H3, H3.standard_gens(), (0, 0, 40), count_cap=50),
-     "word length search exceeded its cap of 50 elements"),
+     "word length search exceeded its cap of 50 elements", "word length search", 50),
     (lambda: ball_ext(heisenberg_semidirect_c2(), 6, cap=20),
-     "extension ball exceeded its cap of 20 elements"),
+     "extension ball exceeded its cap of 20 elements", "extension ball", 20),
     (lambda: schreier_kernel(H3, [power_subgroup(H3, 3).coset_rep], budget=5),
-     "Schreier transversal exceeded its cap of 5 elements"),
+     "Schreier transversal exceeded its cap of 5 elements", "Schreier transversal", 5),
     # u = z^2 reaches the level-8 kernel by z^-2, two moves away
     (lambda: _deepen_into_congruence(H3, (0, 0, 2), InducedSequence(H3, {2: (0, 0, 1)}),
                                      8, budget=2),
-     "congruence deepening search exceeded its cap of 2 elements"),
+     "congruence deepening search exceeded its cap of 2 elements",
+     "congruence deepening search", 2),
+    (lambda: MalcevPresentation(["x", "y", "z"], [1, 1, 60], {(1, 0): (0, 0, -1)}),
+     "the group law of weight 60 needs more than the cap of 20000 interpolation points",
+     "group law interpolation points", 20_000),
+    (lambda: congruence_quotient(H3, 100, order_budget=1000),
+     "quotient order 1000000 exceeds the budget 1000", "order budget", 1000),
 ], ids=["ball", "word_length_radius", "word_length_elements", "ball_ext",
-        "schreier_kernel", "deepen_into_congruence"])
-def test_budget_errors_name_their_budget(run, message):
-    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+        "schreier_kernel", "deepen_into_congruence", "law_interpolation",
+        "quotient_order"])
+def test_budget_errors_name_their_budget(run, message, budget, limit):
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$") as err:
         run()
+    assert (err.value.budget, err.value.limit) == (budget, limit)
 
 
 def test_central_square_length_inequality():

@@ -4,16 +4,17 @@ import pytest
 
 from twistsep.errors import PreconditionError
 from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
-                             heisenberg_automorphism)
+                             heisenberg_automorphism, ut4)
 from twistsep.lattice import Lattice
-from twistsep.malcev import (ball, compose_with_inner, identity_automorphism,
-                             inner_automorphism)
-from twistsep.subgroups import power_subgroup
+from twistsep.malcev import (GroupHom, ball, compose_with_inner, identity_automorphism,
+                             inner_automorphism, verify_hom)
+from twistsep.subgroups import InducedSequence, power_subgroup
 from twistsep.twisted import (NotTwistedConjugate, TwistedChain, TwistedWitness,
                               blackburn_constants, blackburn_root,
                               bounded_witness, center, fixed_subgroup,
                               is_twisted_conjugate, psi, solve_power_twisted,
-                              twisted_determinant, twisted_subgroup)
+                              twisted_chain, twisted_determinant, twisted_subgroup)
+from test_malcev import U5
 
 SEED = 20240214
 H3 = heisenberg()
@@ -78,6 +79,85 @@ def test_dim5_chain_matches_worked_example():
         assert n2.entries[0] == D5.gen(0) and n2.entries[1] == D5.gen(1)
     assert psi(D5, PHI5, 2, D5.gen(3)) == (0, 0)
     assert psi(D5, PHI5, 2, D5.gen(4)) == (-1, 0)
+
+
+def ut_flip(pres):
+    """E_ij(a) -> E_{n+1-j,n+1-i}(-a) on ut4's basis x12, x23, x34, x13, x24, x14."""
+    return GroupHom(pres, pres, [pres.inv(pres.gen(i)) for i in (2, 1, 0, 4, 3, 5)])
+
+
+def ut_sign(pres):
+    """Conjugation by diag(1, -1, 1, ...) on UT(n): x_ij -> x_ij^((-1)^(j-i))."""
+    return GroupHom(pres, pres, [pres.inv(pres.gen(i)) if w % 2 else pres.gen(i)
+                                 for i, w in enumerate(pres.weights)])
+
+
+F4 = free_abelian(4)
+U4 = ut4()
+BUILTIN_MAPS = [
+    (H3, CASE2), (D5, PHI5),
+    (F4, GroupHom(F4, F4, [(1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)])),
+    (U4, ut_flip(U4)), (U5, ut_sign(U5)),
+]
+
+
+@pytest.mark.parametrize("pres, phi", BUILTIN_MAPS,
+                         ids=["heisenberg", "dim5", "free_abelian4", "ut4", "ut5"])
+def test_lazy_seeded_chain_equals_eager_chain(pres, phi):
+    # a chain forced level by level in order, unseeded, against one read
+    # deepest level first with N_2 seeded from phi's chain, for phi and
+    # Inn(x) o phi
+    assert verify_hom(phi, check_automorphism=True) == []
+    c = pres.nilpotency_class
+    n2 = TwistedChain(pres, phi).subgroup(2)
+    rng = random.Random(SEED + 20)
+    xs = [pres.identity] + [tuple(rng.randint(-2, 2) for _ in range(pres.h))
+                            for _ in range(4)]
+    for x in xs:
+        m = compose_with_inner(pres, phi, x)
+        eager = TwistedChain(pres, m)
+        forced = [eager.level(i) for i in range(1, c + 1)]
+        lazy = TwistedChain(pres, m)
+        lazy._seqs[2] = n2
+        for i in range(c, 0, -1):
+            a, b = forced[i - 1], lazy.level(i)
+            assert a.seq.entries == b.seq.entries
+            assert a.psi_rows == b.psi_rows
+            assert a.image.rows == b.image.rows
+            assert a.determinant == b.determinant
+        assert eager.fixed.entries == lazy.fixed.entries
+
+
+def test_decision_closes_only_what_it_reads(monkeypatch):
+    # with phi's own chain built, a decision whose stages read levels 1-2
+    # only runs no closure; a stage reading level 3 closes N_3 and nothing
+    # deeper (ut4 is class 3, so N_4 is never closed)
+    U = ut4()  # a fresh presentation, so the chain memo starts empty
+    phi = ut_flip(U)
+    twisted_chain(U, phi).subgroup(2)
+    closures, read = [], []
+    closure, level = InducedSequence.from_generators.__func__, TwistedChain.level
+    monkeypatch.setattr(InducedSequence, "from_generators", classmethod(
+        lambda cls, *a, **k: closures.append(1) or closure(cls, *a, **k)))
+    monkeypatch.setattr(TwistedChain, "level",
+                        lambda self, i: read.append(i) or level(self, i))
+    rng = random.Random(SEED + 21)
+    shallow = {True: 0, False: 0}
+    for k in range(100):
+        x = tuple(rng.randint(-2, 2) for _ in range(6))
+        w = tuple(rng.randint(-2, 2) for _ in range(5)) + (0,)
+        if k % 2:  # conjugate, by z in gamma_2: the difference lies in layer 2
+            z = (0, 0, 0) + w[3:]
+            y = U.mult(U.mult(z, x), U.inv(phi.apply(z)))
+        else:
+            y = U.mult(w, x)
+        del closures[:], read[:]
+        res = is_twisted_conjugate(U, phi, x, y)
+        assert len(closures) <= read.count(3)
+        if max(read, default=1) <= 2:
+            assert closures == []
+            shallow[isinstance(res, TwistedWitness)] += 1
+    assert min(shallow.values()) >= 5, shallow
 
 
 def test_psi_is_homomorphism():
