@@ -6,6 +6,7 @@ success, 1 on validation errors, 2 on budget exhaustion.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -129,25 +130,27 @@ def cmd_depth(args):
 
 
 def cmd_growth(args):
-    cfg_data = serialize.load_json(args.config)
-    pres = _load_group(cfg_data["group"])
-    autos = [(ref, _load_phi(ref, pres)) for ref in cfg_data["automorphisms"]]
-    config = ExperimentConfig(
-        group=pres,
-        automorphisms=autos,
-        radii=list(cfg_data["radii"]),
-        ball_cap=cfg_data.get("ball_cap", 200_000),
-        order_budget=cfg_data.get("order_budget", 2000),
-        mode=cfg_data.get("mode", "exhaustive"),
-        sample_pairs=cfg_data.get("sample_pairs", 200),
-        seed=cfg_data.get("seed", 20240214),
-        tconj=cfg_data.get("tconj", False),
-    )
+    cfg = serialize.load_json(args.config)
+    settable = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    missing = sorted({"group", "automorphisms", "radii"} - set(cfg))
+    unknown = sorted(set(cfg) - settable - {"output", "plot_script"})
+    if missing:
+        raise ValidationError(f"growth config misses {', '.join(missing)}")
+    if unknown:
+        raise ValidationError(f"growth config has unknown keys {', '.join(unknown)}")
+    out, plot = cfg.pop("output", "growth.csv"), cfg.pop("plot_script", "")
+    refs = cfg["automorphisms"]
+    if not (all(isinstance(v, str) for v in (cfg["group"], out, plot))
+            and isinstance(refs, list) and all(isinstance(r, str) for r in refs)):
+        raise ValidationError("growth config: group, output and plot_script must be "
+                              "strings, and automorphisms a list of strings")
+    pres = _load_group(cfg["group"])
+    autos = [(ref, _load_phi(ref, pres)) for ref in refs]
+    config = ExperimentConfig(**dict(cfg, group=pres, automorphisms=autos))
     rows = measure_conj_growth(config)
-    out = cfg_data.get("output", "growth.csv")
     growth_rows_to_csv(rows, out)
-    if cfg_data.get("plot_script"):
-        plot_script_for(out, cfg_data["plot_script"])
+    if plot:
+        plot_script_for(out, plot)
     usable = [(r.n, r.depth) for r in rows if r.depth > 0]
     print(f"wrote {len(rows)} rows to {out}")
     if len(usable) >= 3:

@@ -10,6 +10,7 @@ n_{ij} s_{k(i,j)}. Elements are pairs (n, i) meaning n * s_i.
 """
 
 from dataclasses import dataclass
+import math
 import random
 
 from .errors import BudgetExceededError, ValidationError
@@ -17,7 +18,7 @@ from .groups import free_abelian, heisenberg, heisenberg_automorphism
 from .malcev import (GroupHom, _ball_distances, breadth_first, identity_automorphism,
                      verify_hom)
 from .subgroups import diagonal_kernel, intersect_finite_index
-from .quotients import congruence_depth
+from .quotients import depth_scan
 from .twisted import TwistedWitness, is_twisted_conjugate
 
 
@@ -210,58 +211,52 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
     """Separate y from [x]_phi in a finite quotient of the extension,
     assembled from per-part kernel separations.
 
-    Per translated part, a congruence kernel of N separating the shifted
-    element is found; the kernels are intersected, replaced by their
-    normal core over the coset action (and intersected with automorphism
-    images until stable), and the separation is re-verified by orbit
-    enumeration in the resulting finite quotient of G.
+    One pass over the translated parts of [x]_phi: G/N already separates
+    a part outside N, and each part inside N gets a depth scan, which also
+    decides it; a conjugate part means y ~_phi x and raises. The scans'
+    kernels are intersected (N itself stands in when no part lies in N)
+    and then intersected with their images under the coset action and
+    phi until stable, giving a normal, phi-invariant kernel. Induced
+    sequences are canonical and an image has the same index, so a round
+    whose images all equal the kernel ends without an intersection. The
+    separation is re-verified by orbit enumeration in the resulting finite
+    quotient of G.
 
     Returns a dict with the combined quotient order, per-part orders, and
     the product bound the combined order is compared against.
     """
     p = ext.kernel
-    conj, _ = is_conjugate_virtual(ext, phi, x, y)
-    if conj:
-        raise ValidationError("x and y are conjugate; nothing to separate")
-    part_orders = []
-    kernels = []
+    parts = []
     for f, x_i in decompose_twisted_class(ext, phi, x):
         d = ext.mult(y, ext.inv(x_i))
-        if not ext.in_kernel(d):
-            # the quotient G/N already separates this part
-            part_orders.append(ext.r)
-            continue
-        # is_conjugate_virtual above has decided this part non-conjugate
-        res = congruence_depth(p, f, p.identity, d.n, order_budget,
-                               check_nonconjugate=False)
-        if not res.separated:
-            raise BudgetExceededError("no separating congruence quotient for a part",
-                                      budget="order budget", limit=order_budget)
-        part_orders.append(res.order)
-        kernels.append(diagonal_kernel(p, res.moduli))
-    if not kernels:
-        combined = None
+        res = depth_scan(p, f, [(p.identity, d.n)], order_budget)[0] \
+            if ext.in_kernel(d) else None
+        if res is not None and res.conjugate:
+            raise ValidationError("x and y are conjugate; nothing to separate")
+        parts.append(res)
+    scanned = [res for res in parts if res is not None]
+    if not all(res.separated for res in scanned):
+        raise BudgetExceededError("no separating congruence quotient for a part",
+                                  budget="order budget", limit=order_budget)
+    part_orders = [ext.r if res is None else res.order for res in parts]
+    kernels = [diagonal_kernel(p, res.moduli) for res in scanned] \
+        or [diagonal_kernel(p, (1,) * p.h)]
+    combined = kernels[0] if len(kernels) == 1 else intersect_finite_index(p, kernels)
+    # actions[0] is the identity (FiniteExtension._check)
+    autos = ext.actions[1:] + [phi.restriction]
+    for _ in range(stabilize_rounds):
+        images = [combined.conjugated(a) for a in autos]
+        if all(img == combined for img in images):
+            break
+        combined = intersect_finite_index(p, [combined] + images)
     else:
-        combined = kernels[0] if len(kernels) == 1 else intersect_finite_index(p, kernels)
-        # normal core over the coset action, then phi-stabilization
-        for _ in range(stabilize_rounds):
-            conjugated = [combined.conjugated(ext.actions[i]) for i in range(ext.r)]
-            conjugated.append(combined.conjugated(phi.restriction))
-            merged = intersect_finite_index(p, [combined] + conjugated)
-            if merged == combined:
-                break
-            combined = merged
-        else:
-            raise BudgetExceededError("core stabilization did not converge",
-                                      budget="stabilization rounds", limit=stabilize_rounds)
-    order = (combined.index() if combined else 1) * ext.r
+        raise BudgetExceededError("core stabilization did not converge",
+                                  budget="stabilization rounds", limit=stabilize_rounds)
+    order = combined.index() * ext.r
     # verify separation in the finite quotient G/K by orbit enumeration on
     # coset forms: K is normal in G and phi-invariant once stable, so the
     # moves act on its cosets
-    if combined is None:
-        canon = lambda g: ExtElement(p.identity, g.coset)
-    else:
-        canon = lambda g: ExtElement(combined.coset_rep(g.n), g.coset)
+    canon = lambda g: ExtElement(combined.coset_rep(g.n), g.coset)
     moves = []
     for g in ext.generators():
         moves.append((g, ext.inv(phi.apply(g))))
@@ -276,14 +271,11 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
         raise ValidationError("orbit escaped the quotient order") from exc
     if not separated:
         raise ValidationError("combined quotient failed to separate")
-    bound = 1
-    for po in part_orders:
-        bound *= po
     return {
         "order": order,
         "part_orders": part_orders,
-        "product_bound": bound ** ext.r,
-        "moduli": None if combined is None else [combined.entries[i][i] for i in range(p.h)],
+        "product_bound": math.prod(part_orders) ** ext.r,
+        "moduli": [combined.entries[i][i] for i in range(p.h)] if scanned else None,
     }
 
 

@@ -4,7 +4,8 @@ witness families, and exponent fitting.
 
 Depth values entering any row are verified separations: the scan both
 finds the separating quotient and exhausts everything smaller, so row
-maxima are exact within the congruence family.
+maxima are exact within the congruence family. Rows range over the pairs
+that are not twisted conjugate, and the depth scan is what decides that.
 """
 
 import csv
@@ -37,10 +38,17 @@ class ExperimentConfig:
     tconj: bool = False                    # filter family by ||phi|| <= n
 
     def __post_init__(self):
+        numbers = [self.ball_cap, self.order_budget, self.sample_pairs, self.seed]
+        if not isinstance(self.radii, (list, tuple)) or not isinstance(self.tconj, bool) \
+                or any(type(v) is not int for v in [*self.radii, *numbers]):
+            raise ValidationError("radii must be a list of integers, ball_cap, order_budget, "
+                                  "sample_pairs and seed integers, and tconj a boolean")
         if any(n < 0 for n in self.radii) or sorted(self.radii) != list(self.radii):
             raise ValidationError("radii must be nonnegative and increasing")
-        if self.ball_cap <= 0 or self.order_budget <= 0:
-            raise ValidationError("budgets must be positive")
+        if self.ball_cap <= 0 or self.order_budget <= 0 or self.sample_pairs <= 0:
+            raise ValidationError("ball_cap, order_budget and sample_pairs must be positive")
+        if self.mode not in ("exhaustive", "sampled"):
+            raise ValidationError(f"mode must be 'exhaustive' or 'sampled', not {self.mode!r}")
 
 
 @dataclass
@@ -76,9 +84,10 @@ def fit_exponent(rows):
 
 def measure_conj_growth(config):
     """Growth rows: for each radius n and automorphism, the maximal
-    congruence depth over non-twisted-conjugate pairs in the n-ball
-    (exhaustive, or sampled with the flag recorded), from one depth scan
-    per row. The row's witness is the first pair attaining the maximum."""
+    congruence depth over the pairs of the n-ball (exhaustive, or sampled
+    with the flag recorded), from one depth scan per row. The scan reports
+    twisted conjugate pairs, which have no depth, and the row skips them.
+    The row's witness is the first pair attaining the maximum."""
     p = config.group
     gens = p.standard_gens()
     rng = random.Random(config.seed)
@@ -99,21 +108,14 @@ def measure_conj_growth(config):
             else:
                 pairs = [(x, y) for x in elements for y in elements if x != y]
                 exhaustive = True
-            pairs = [(x, y) for x, y in pairs
-                     if not isinstance(is_twisted_conjugate(p, phi, x, y), TwistedWitness)]
-            best = None
+            best = (0, None, None, None)   # depth, witness x and y, moduli
             exhausted = False
             for (x, y), res in zip(pairs, depth_scan(p, phi, pairs, config.order_budget)):
-                if not res.separated:
-                    exhausted = True
-                elif best is None or res.order > best[0]:
+                # a conjugate pair is neither separated nor budget_exhausted
+                exhausted |= res.budget_exhausted
+                if res.separated and res.order > best[0]:
                     best = (res.order, x, y, res.moduli)
-            if best is None:
-                rows.append(GrowthRow(n, name, 0, exhaustive=exhaustive,
-                                      budget_exhausted=exhausted))
-            else:
-                rows.append(GrowthRow(n, name, best[0], best[1], best[2], best[3],
-                                      exhaustive, exhausted))
+            rows.append(GrowthRow(n, name, *best, exhaustive, exhausted))
     return rows
 
 

@@ -142,6 +142,7 @@ class DepthResult:
     order: int = None
     moduli: tuple = None
     budget_exhausted: bool = False
+    conjugate: bool = False
 
 
 def _coset_canon(pres, kernel, moduli):
@@ -200,17 +201,20 @@ class _OrbitLabels:
 
 def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
     """Congruence depths of many pairs (x, y) in one pass over the stable
-    diagonal kernels, in increasing order: a pending pair is separated at
-    the first kernel where y's coset does not carry the label of x's orbit.
-    Orbit labels are shared by all pairs at a kernel, and the scan stops
-    once every pair is separated. Each separation is re-checked by plain
-    sifting in a fresh quotient, which enumerates x's class once per
-    kernel however many pairs share x. An optional modulus budget additionally
-    caps every individual modulus; pairs left unseparated are reported
-    budget_exhausted."""
+    diagonal kernels, in increasing order. Each pair is decided first: a
+    twisted conjugate pair has no depth, is reported conjugate and is not
+    scanned. A pending pair is separated at the first kernel where y's
+    coset does not carry the label of x's orbit. Orbit labels are shared by
+    all pairs at a kernel, and the scan stops once every pair is separated.
+    Each separation is re-checked by plain sifting in a fresh quotient,
+    which enumerates x's class once per kernel however many pairs share x.
+    An optional modulus budget caps every individual modulus; pairs left
+    unseparated are reported budget_exhausted."""
     pairs = [(pres.check_element(x), pres.check_element(y)) for x, y in pairs]
-    results = [DepthResult(False, budget_exhausted=True) for _ in pairs]
-    pending = list(range(len(pairs)))
+    results = [DepthResult(False, conjugate=True)
+               if isinstance(is_twisted_conjugate(pres, phi, x, y), TwistedWitness)
+               else DepthResult(False, budget_exhausted=True) for x, y in pairs]
+    pending = [k for k, res in enumerate(results) if not res.conjugate]
     if not pending:
         return results
     for order, vec, kernel in congruence_kernels(pres, order_budget):
@@ -239,16 +243,16 @@ def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
 
 
 def congruence_depth(pres, phi, x, y, order_budget=DEFAULT_ORDER_BUDGET,
-                     check_nonconjugate=True, modulus_budget=None):
+                     modulus_budget=None):
     """The smallest congruence quotient order separating y from [x]_phi:
     the single-pair case of depth_scan. The result is exact among
     congruence quotients when the scan is exhaustive below the found
-    order."""
-    if check_nonconjugate:
-        res = is_twisted_conjugate(pres, phi, x, y)
-        if isinstance(res, TwistedWitness):
-            raise PreconditionError("x and y are twisted conjugate", reason="conjugate")
-    return depth_scan(pres, phi, [(x, y)], order_budget, modulus_budget)[0]
+    order. Raises PreconditionError when the scan finds x and y twisted
+    conjugate."""
+    res = depth_scan(pres, phi, [(x, y)], order_budget, modulus_budget)[0]
+    if res.conjugate:
+        raise PreconditionError("x and y are twisted conjugate", reason="conjugate")
+    return res
 
 
 def full_power_subgroup(pres, m, order_budget=200_000):

@@ -25,6 +25,8 @@ def _decode_int(v):
 
 
 def _decode_vector(v, length=None):
+    if not isinstance(v, list):
+        raise ValidationError(f"expected a list of integers, got {type(v).__name__}")
     out = tuple(_decode_int(x) for x in v)
     if length is not None and len(out) != length:
         raise ValidationError("exponent vector has the wrong length")
@@ -47,18 +49,28 @@ def presentation_to_dict(pres):
 
 def presentation_from_dict(data):
     try:
-        basis = list(data["basis"])
-        weights = {k: _decode_int(v) for k, v in data["weights"].items()}
+        basis, weights = data["basis"], data["weights"]
     except KeyError as exc:
         raise ValidationError(f"presentation file missing field {exc}") from exc
+    if (not isinstance(basis, list) or not all(isinstance(name, str) for name in basis)
+            or len(set(basis)) != len(basis)):
+        raise ValidationError("basis must be a list of distinct generator names")
+    if not isinstance(weights, dict) or set(weights) != set(basis):
+        raise ValidationError("weights must give the weight of each basis name and no other")
+    weights = {k: _decode_int(v) for k, v in weights.items()}
+    commutators = data.get("commutators", {})
+    if not isinstance(commutators, dict):
+        raise ValidationError("commutators must map 'later,earlier' keys to exponents")
     index = {name: i for i, name in enumerate(basis)}
     comms = {}
-    for key, support in data.get("commutators", {}).items():
+    for key, support in commutators.items():
         try:
             jname, iname = key.split(",")
             j, i = index[jname.strip()], index[iname.strip()]
         except (ValueError, KeyError) as exc:
             raise ValidationError(f"bad commutator key {key!r}") from exc
+        if not isinstance(support, dict):
+            raise ValidationError(f"commutator {key!r} must map generator names to exponents")
         vec = [0] * len(basis)
         for name, e in support.items():
             if name not in index:
@@ -68,9 +80,9 @@ def presentation_from_dict(data):
             raise ValidationError(
                 f"commutator key {key!r} must list the later generator first")
         comms[(j, i)] = tuple(vec)
-    pres = MalcevPresentation(basis, weights, comms,
-                              nilpotency_class=data.get("class"))
-    return pres
+    cls = data.get("class")
+    return MalcevPresentation(basis, weights, comms,
+                              nilpotency_class=None if cls is None else _decode_int(cls))
 
 
 def hom_to_dict(hom):
@@ -85,6 +97,8 @@ def hom_from_dict(data, domain, codomain=None):
     codomain = codomain or domain
     images = []
     imgs = data.get("images", data)
+    if not isinstance(imgs, dict):
+        raise ValidationError("automorphism images must map generator names to vectors")
     for name in domain.basis:
         if name not in imgs:
             raise ValidationError(f"automorphism file misses the image of {name!r}")
@@ -137,8 +151,16 @@ def depth_result_to_dict(x, y, phi_id, result):
 
 
 def load_json(path):
+    """The JSON object in the file at path. Text that is not JSON, or JSON
+    that is not an object, raises a ValidationError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} holds a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def dump_json(data, path=None):

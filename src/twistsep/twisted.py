@@ -36,6 +36,12 @@ class ChainLevel:
     image: lin.Lattice            # image lattice of psi in the layer
     determinant: int              # isolator index of the image
 
+    def preimage(self, target):
+        """Coefficients on the generators whose psi value is target, or None."""
+        if not self.psi_rows:
+            return None if any(target) else []
+        return lin.solve(lin.transpose(self.psi_rows), target)
+
 
 class TwistedChain:
     """The descending chain N_1 >= N_2 >= ... >= N_{c+1} for one or several
@@ -73,8 +79,7 @@ class TwistedChain:
                         "chain generator displacement is too shallow")
                 row.extend(p.layer_coords(d, level))
             rows.append(row)
-        image = lin.Lattice.from_rows(r, [row[:r] for row in rows]) if len(self.maps) == 1 \
-            else lin.Lattice.from_rows(r * len(self.maps), rows)
+        image = lin.Lattice.from_rows(r * len(self.maps), rows)
         return ChainLevel(level, seq, rows, image, lin.isolator_index(image))
 
     def _close_kernel(self, lv):
@@ -83,8 +88,7 @@ class TwistedChain:
         p = self.pres
         gens = lv.seq.generators()
         t = len(gens)
-        M = lin.transpose(lv.psi_rows) if lv.psi_rows else []
-        kern = lin.kernel_basis(M) if t else lin.Lattice(0, [])
+        kern = lin.kernel_basis(lin.transpose(lv.psi_rows))
         new_gens = [_realize_class(p, gens, v) for v in kern.rows]
         for a in range(t):
             for b in range(a + 1, t):
@@ -224,8 +228,7 @@ def is_twisted_conjugate(pres, phi, x, y):
         chain._seqs.setdefault(2, n2)  # N_2(Inn(x_cur) o phi) = N_2(phi)
         lv = chain.level(wt)
         target = list(p.layer_coords(d, wt))
-        M = lin.transpose(lv.psi_rows) if lv.psi_rows else []
-        v = lin.solve(M, target) if lv.psi_rows else (None if any(target) else [])
+        v = lv.preimage(target)
         if v is None:
             return NotTwistedConjugate(wt, tuple(target), lv.image.rows)
         z = _realize_class(p, lv.seq.generators(), v)
@@ -367,9 +370,7 @@ def solve_power_twisted(pres, phi, p, k, x):
         depth = _vector_valuation(w, p)
         vd = _vp(lv.determinant, p)
         j = max(depth - vd, 0)
-        scaled = [e // p ** j for e in b]
-        M = lin.transpose(lv.psi_rows) if lv.psi_rows else []
-        vv = lin.solve(M, scaled) if lv.psi_rows else (None if any(scaled) else [])
+        vv = lv.preimage([e // p ** j for e in b])
         if vv is None:
             raise TwistsepError("psi class pullback failed; displacement escaped the image")
         coeffs = [p ** j * e for e in vv]

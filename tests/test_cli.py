@@ -173,3 +173,38 @@ def test_commands_reject_a_presentation_group_verify_rejects(argv, tmp_path, cap
     assert captured.out == ""
     assert "overlap (c,b,a) is not associative" in captured.err
     assert not (tmp_path / "rows.csv").exists()
+
+
+_H3_DATA = presentation_to_dict(heisenberg())
+_GROWTH = {"group": "heisenberg", "automorphisms": ["id"], "radii": [1], "order_budget": 50}
+
+
+# the three kinds of JSON file the CLI reads, each in a command
+_FILE_COMMANDS = {
+    "group": ["group", "verify", "{}"],
+    "phi": ["twisted", "decide", "heisenberg", "{}", "2,0,0", "2,0,1"],
+    "growth": ["growth", "{}"],
+}
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("growth", '{"group": "heisenberg",'),
+    ("group", "basis: [x]"),
+    ("phi", "{'images': {}}"),
+    ("growth", json.dumps([_GROWTH])),
+    ("group", json.dumps([_H3_DATA])),
+    ("phi", json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+    ("group", json.dumps(dict(_H3_DATA, weights={"x": 1, "y": 1}))),
+    ("group", json.dumps(dict(_H3_DATA, commutators=[]))),
+    ("growth", json.dumps({k: v for k, v in _GROWTH.items() if k != "automorphisms"})),
+    ("growth", json.dumps(dict(_GROWTH, mode="sampeld"))),
+    ("growth", json.dumps(dict(_GROWTH, mode="sampled", sample_pairs=0))),
+], ids=["growth-malformed", "group-malformed", "phi-malformed", "growth-list",
+        "group-list", "phi-list", "weights-miss-a-name", "commutators-list",
+        "growth-without-automorphisms", "growth-mode-typo", "growth-no-samples"])
+def test_bad_json_input_is_error(kind, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    _assert_input_error([a.format(path) for a in _FILE_COMMANDS[kind]], capsys)
+    assert not (tmp_path / "growth.csv").exists()

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from twistsep import quotients
-from twistsep.errors import ValidationError
+from twistsep.errors import PreconditionError, ValidationError
 from twistsep.groups import dim5, dim5_automorphism, heisenberg, heisenberg_automorphism, ut4
 from twistsep.malcev import identity_automorphism
 from twistsep.quotients import (FiniteQuotient, congruence_depth, congruence_kernels,
                                 depth_scan, separates)
+from twistsep.twisted import TwistedWitness, is_twisted_conjugate
 
 SEED = 20240214
 H3 = heisenberg()
@@ -27,13 +28,26 @@ def reference_depth(pres, phi, x, y, order_budget, modulus_budget=None):
     return None
 
 
+def is_conjugate(pres, phi, x, y):
+    return isinstance(is_twisted_conjugate(pres, phi, x, y), TwistedWitness)
+
+
+def twisted_image(pres, phi, z, x):
+    """z x phi(z)^-1, an element of x's twisted class."""
+    return pres.mult(pres.mult(z, x), pres.inv(phi.apply(z)))
+
+
 def scan_answers(pres, phi, pairs, order_budget, modulus_budget=None):
+    """(order, moduli) per pair, or None for a pair the scan never
+    separates: a conjugate pair, or one left at the budget."""
     out = []
-    for res in depth_scan(pres, phi, pairs, order_budget, modulus_budget):
+    for (x, y), res in zip(pairs, depth_scan(pres, phi, pairs, order_budget,
+                                             modulus_budget)):
+        assert res.conjugate == is_conjugate(pres, phi, x, y)
         if res.separated:
             out.append((res.order, res.moduli))
         else:
-            assert res.budget_exhausted
+            assert res.budget_exhausted != res.conjugate
             out.append(None)
     return out
 
@@ -108,9 +122,28 @@ def test_single_pair_depth_is_the_scan():
     phi = heisenberg_automorphism(H3, [[2, 1], [1, 1]])
     rng = random.Random(SEED + 1)
     pairs = random_pairs(H3, 4, 3, rng)
+    pairs.append((pairs[0][0], twisted_image(H3, phi, H3.gen(0), pairs[0][0])))
     scanned = depth_scan(H3, phi, pairs, 300)
+    assert scanned[-1].conjugate and not scanned[0].conjugate
     for (x, y), res in zip(pairs, scanned):
-        assert congruence_depth(H3, phi, x, y, 300, check_nonconjugate=False) == res
+        if res.conjugate:
+            with pytest.raises(PreconditionError):
+                congruence_depth(H3, phi, x, y, 300)
+        else:
+            assert congruence_depth(H3, phi, x, y, 300) == res
+
+
+def test_conjugate_pairs_run_no_orbit_search(monkeypatch):
+    def no_search(self, g):
+        raise AssertionError("a conjugate pair reached the orbit search")
+
+    monkeypatch.setattr(quotients._OrbitLabels, "search", no_search)
+    phi = heisenberg_automorphism(H3, [[2, 1], [1, 1]])
+    rng = random.Random(SEED + 2)
+    pairs = [(x, twisted_image(H3, phi, z, x)) for x, z in random_pairs(H3, 6, 3, rng)]
+    pairs.append((H3.gen(2), H3.gen(2)))
+    assert depth_scan(H3, phi, pairs, 300) == \
+        [quotients.DepthResult(False, conjugate=True)] * len(pairs)
 
 
 def test_wrong_labels_fail_the_recheck(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistsep import extensions
 from twistsep.errors import ValidationError
 from twistsep.extensions import (ExtAutomorphism, FiniteExtension, ball_ext,
                                  decompose_twisted_class,
@@ -120,6 +121,35 @@ def test_farb_depth_union_heisenberg():
     res = farb_depth_union(E, phi, x, y)
     assert res["order"] <= res["product_bound"]
     assert res["order"] % 2 == 0      # contains the G/N factor
+
+
+def test_farb_depth_union_is_one_pass(monkeypatch):
+    # the part scans decide conjugacy, the class is decomposed once, and
+    # the intersection of the two part kernels is already normal and
+    # phi-invariant, so stabilisation intersects nothing more
+    calls = {"virtual": 0, "decompose": 0, "intersect": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(extensions, "is_conjugate_virtual",
+                        counted("virtual", extensions.is_conjugate_virtual))
+    monkeypatch.setattr(extensions, "decompose_twisted_class",
+                        counted("decompose", extensions.decompose_twisted_class))
+    monkeypatch.setattr(extensions, "intersect_finite_index",
+                        counted("intersect", extensions.intersect_finite_index))
+    E = heisenberg_semidirect_c2()
+    phi = ext_identity_automorphism(E)
+    x = E.element((2, 0, 1), 0)
+    y = E.element((2, 0, 2), 0)
+    assert all(E.in_kernel(E.mult(y, E.inv(x_i)))
+               for _, x_i in decompose_twisted_class(E, phi, x))
+    res = farb_depth_union(E, phi, x, y)
+    assert calls == {"virtual": 0, "decompose": 1, "intersect": 1}
+    assert len(res["part_orders"]) == 2 and res["moduli"] is not None
 
 
 def test_farb_rejects_conjugate_pairs():
