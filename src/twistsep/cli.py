@@ -8,6 +8,7 @@ success, 1 on validation errors, 2 on budget exhaustion.
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 from .errors import BudgetExceededError, PreconditionError, TwistsepError, ValidationError
@@ -22,6 +23,14 @@ from .twisted import TwistedChain, TwistedWitness, is_twisted_conjugate
 
 
 _BUILTIN_GROUPS = {"heisenberg": groups.heisenberg, "dim5": groups.dim5}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads -1,0,0 as a value; argparse before Python 3.13 reads an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d[\d,-]*$")
 
 
 def _read_group(ref):
@@ -111,8 +120,8 @@ def cmd_twisted_decide(args):
         print(serialize.dump_json(serialize.witness_to_dict(pres, phi, res),
                                   args.output))
     else:
-        print(json.dumps({"conjugate": False, "obstruction_level": res.level,
-                          "obstruction": list(res.obstruction)}, indent=2))
+        print(serialize.dump_json({"conjugate": False, "obstruction_level": res.level,
+                                   "obstruction": list(res.obstruction)}, args.output))
 
 
 def cmd_depth(args):
@@ -183,6 +192,9 @@ def cmd_examples_dim5(args):
         "sqrt_fit_exponent": round(res["sqrt_fit_exponent"], 3),
         "central_quotient_hirsch": list(res["central_quotient_hirsch"]),
     }
+    if args.growth:
+        fields = ("n", "depth", "moduli", "exhaustive", "budget_exhausted")
+        printable["growth_rows"] = [{k: getattr(r, k) for k in fields} for r in res["growth_rows"]]
     print(json.dumps(printable, indent=2))
 
 
@@ -195,7 +207,7 @@ def cmd_witness_lower_bound(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="twistsep",
         description="exact twisted conjugacy tools for nilpotent groups")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -3,20 +3,24 @@ arithmetic, decomposition of twisted classes into translated kernel
 classes, the assembled conjugacy decision, and union separation through
 normal cores.
 
-An extension G of the kernel N by r coset representatives s_1..s_r
-(s_1 the identity coset) is described by one automorphism of N per
+An extension G of the kernel N by r coset representatives s_0..s_{r-1}
+(s_0 the identity coset) is described by one automorphism of N per
 representative (conjugation by s_i) and a cocycle table s_i s_j =
 n_{ij} s_{k(i,j)}. Elements are pairs (n, i) meaning n * s_i.
+
+The constructor checks once that these tables are extension data, so the
+rest is read from them: conjugation on N by n s_c is Inn(n) o actions[c],
+and an automorphism of G is checked on G's defining relations only.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
-import random
 
 from .errors import BudgetExceededError, ValidationError
 from .groups import free_abelian, heisenberg, heisenberg_automorphism
-from .malcev import (GroupHom, _ball_distances, breadth_first, identity_automorphism,
-                     verify_hom)
+from .malcev import (GroupHom, _ball_distances, breadth_first, compose_with_inner,
+                     identity_automorphism, verify_hom)
 from .subgroups import diagonal_kernel, intersect_finite_index
 from .quotients import depth_scan
 from .twisted import TwistedWitness, is_twisted_conjugate
@@ -29,7 +33,7 @@ class ExtElement:
 
 
 class FiniteExtension:
-    def __init__(self, kernel, actions, cocycle, rep_names=None):
+    def __init__(self, kernel, actions, cocycle):
         """actions: list of GroupHom automorphisms of the kernel, one per
         coset rep, actions[0] the identity. cocycle: {(i, j): (k, n)} with
         s_i s_j = n * s_k; missing pairs default inside the identity coset
@@ -37,41 +41,45 @@ class FiniteExtension:
         self.kernel = kernel
         self.actions = list(actions)
         self.r = len(self.actions)
-        self.rep_names = rep_names or [f"s{i}" for i in range(self.r)]
         self.cocycle = {}
-        for i in range(self.r):
-            for j in range(self.r):
-                if (i, j) in cocycle:
-                    k, n = cocycle[(i, j)]
-                    self.cocycle[(i, j)] = (k, kernel.check_element(n))
-                elif i == 0:
-                    self.cocycle[(i, j)] = (j, kernel.identity)
-                elif j == 0:
-                    self.cocycle[(i, j)] = (i, kernel.identity)
-                else:
-                    raise ValidationError(f"cocycle entry ({i},{j}) missing")
+        for i, j in itertools.product(range(self.r), repeat=2):
+            if (i, j) not in cocycle and i and j:
+                raise ValidationError(f"cocycle entry ({i},{j}) missing")
+            k, n = cocycle.get((i, j), (i + j, kernel.identity))
+            if k not in range(self.r):
+                raise ValidationError(f"cocycle entry ({i},{j}) names no coset")
+            self.cocycle[(i, j)] = (k, kernel.check_element(n))
         self._check()
 
     def _check(self):
+        """The axioms of extension data, which make mult a group law: the
+        actions are automorphisms, actions[0] the identity; s_0 is a
+        two-sided identity and every coset has an inverse coset; s_i s_j =
+        n s_k gives actions[i] o actions[j] = Inn(n) o actions[k]; and the
+        cocycle is associative on the reps."""
         p = self.kernel
-        id0 = self.actions[0]
-        for i in range(p.h):
-            if id0.apply(p.gen(i)) != p.gen(i):
-                raise ValidationError("action of the identity coset must be trivial")
-        for i in range(self.r):
-            if not any(self.cocycle[(i, j)][0] == 0 for j in range(self.r)):
-                raise ValidationError(f"coset {i} has no inverse coset")
-        for i in range(self.r):
-            for j in range(self.r):
-                for k in range(self.r):
-                    a = self.mult(self.element(p.identity, i),
-                                  self.mult(self.element(p.identity, j),
-                                            self.element(p.identity, k)))
-                    b = self.mult(self.mult(self.element(p.identity, i),
-                                            self.element(p.identity, j)),
-                                  self.element(p.identity, k))
-                    if a != b:
-                        raise ValidationError("cocycle fails associativity on reps")
+        if self.actions[0] != identity_automorphism(p):
+            raise ValidationError("action of the identity coset must be trivial")
+        for a in self.actions:
+            problems = verify_hom(a, check_automorphism=True)
+            if problems:
+                raise ValidationError("coset action: " + "; ".join(problems))
+        if any(self.cocycle[(0, j)] != (j, p.identity) or self.cocycle[(j, 0)] != (j, p.identity)
+               for j in range(self.r)):
+            raise ValidationError("s0 must be a two-sided identity of the cocycle")
+        # the coset j with s_i s_j in N, per coset i
+        self._inverse = [next((j for j in range(self.r) if self.cocycle[(i, j)][0] == 0), None)
+                         for i in range(self.r)]
+        if None in self._inverse:
+            raise ValidationError(f"coset {self._inverse.index(None)} has no inverse coset")
+        for (i, j), (k, n) in self.cocycle.items():
+            if self.actions[i].compose(self.actions[j]) != \
+                    compose_with_inner(p, self.actions[k], n):
+                raise ValidationError(f"actions of s{i} s{j} disagree with its cocycle value")
+        reps = [self.element(p.identity, i) for i in range(self.r)]
+        for a, b, c in itertools.product(reps, repeat=3):
+            if self.mult(a, self.mult(b, c)) != self.mult(self.mult(a, b), c):
+                raise ValidationError("cocycle fails associativity on reps")
 
     def element(self, n, coset):
         return ExtElement(self.kernel.check_element(n), coset)
@@ -90,26 +98,15 @@ class FiniteExtension:
         # s_i s_j = n_ij s_0 gives s_i^-1 = s_j n_ij^-1, hence
         # (n s_i)^-1 = s_j n_ij^-1 n^-1 = alpha_j(n_ij^-1 n^-1) s_j
         p = self.kernel
-        for j in range(self.r):
-            k, n_ij = self.cocycle[(a.coset, j)]
-            if k == 0:
-                n_part = self.actions[j].apply(p.mult(p.inv(n_ij), p.inv(a.n)))
-                return ExtElement(n_part, j)
-        raise ValidationError("no inverse coset; cocycle is not a group")
-
-    def conj(self, g, by):
-        return self.mult(self.mult(by, g), self.inv(by))
+        j = self._inverse[a.coset]
+        n_ij = self.cocycle[(a.coset, j)][1]
+        return ExtElement(self.actions[j].apply(p.mult(p.inv(n_ij), p.inv(a.n))), j)
 
     def conjugation_on_kernel(self, g):
-        """Conjugation by a group element restricted to N, as a GroupHom."""
-        p = self.kernel
-        images = []
-        for i in range(p.h):
-            img = self.conj(self.element(p.gen(i), 0), g)
-            if img.coset != 0:
-                raise ValidationError("kernel is not normal under the cocycle data")
-            images.append(img.n)
-        return GroupHom(p, p, images)
+        """Conjugation by g = n s_c restricted to N, as a GroupHom: by
+        definition s_c m s_c^-1 = actions[c](m), so it is Inn(n) o
+        actions[c]."""
+        return compose_with_inner(self.kernel, self.actions[g.coset], g.n)
 
     def in_kernel(self, g):
         return g.coset == 0
@@ -146,18 +143,16 @@ class ExtAutomorphism:
         return ExtElement(n, self.perm[g.coset])
 
     def _check(self):
+        """Multiplicativity on G's defining relations, the pairs (s_i, s_j)
+        and (s_i, a) for basis generators a of N: the restriction and the
+        actions are verified automorphisms, so this holds on all of G."""
         ext = self.ext
         p = ext.kernel
-        rng = random.Random(11)
-        samples = [ext.element(p.identity, i) for i in range(ext.r)]
-        samples += [ext.element(p.gen(i), 0) for i in range(p.h)]
-        for _ in range(10):
-            samples.append(ext.element(
-                tuple(rng.randint(-3, 3) for _ in range(p.h)), rng.randrange(ext.r)))
-        for a in samples:
-            for b in samples:
-                if self.apply(ext.mult(a, b)) != ext.mult(self.apply(a), self.apply(b)):
-                    raise ValidationError("extension automorphism fails multiplicativity")
+        reps = [ext.element(p.identity, i) for i in range(ext.r)]
+        gens = [ext.element(p.gen(i), 0) for i in range(p.h)]
+        for a, b in itertools.product(reps, reps + gens):
+            if self.apply(ext.mult(a, b)) != ext.mult(self.apply(a), self.apply(b)):
+                raise ValidationError("extension automorphism fails multiplicativity")
 
 
 def ext_identity_automorphism(ext):
@@ -215,12 +210,11 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
     a part outside N, and each part inside N gets a depth scan, which also
     decides it; a conjugate part means y ~_phi x and raises. The scans'
     kernels are intersected (N itself stands in when no part lies in N)
-    and then intersected with their images under the coset action and
-    phi until stable, giving a normal, phi-invariant kernel. Induced
-    sequences are canonical and an image has the same index, so a round
-    whose images all equal the kernel ends without an intersection. The
-    separation is re-verified by orbit enumeration in the resulting finite
-    quotient of G.
+    and then with their images under the coset action and phi until
+    stable, giving a normal, phi-invariant kernel. An image has the same
+    index, so only a round in which some automorphism moves a generator
+    out of the kernel builds images and intersects. The separation is
+    re-verified by orbit enumeration in the finite quotient of G.
 
     Returns a dict with the combined quotient order, per-part orders, and
     the product bound the combined order is compared against.
@@ -245,10 +239,12 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
     # actions[0] is the identity (FiniteExtension._check)
     autos = ext.actions[1:] + [phi.restriction]
     for _ in range(stabilize_rounds):
-        images = [combined.conjugated(a) for a in autos]
-        if all(img == combined for img in images):
+        # a(K) has K's index, so a keeps K exactly when a(K) <= K
+        moved = [a for a in autos
+                 if not all(combined.contains(a.apply(g)) for g in combined.generators())]
+        if not moved:
             break
-        combined = intersect_finite_index(p, [combined] + images)
+        combined = intersect_finite_index(p, [combined] + [combined.conjugated(a) for a in moved])
     else:
         raise BudgetExceededError("core stabilization did not converge",
                                   budget="stabilization rounds", limit=stabilize_rounds)

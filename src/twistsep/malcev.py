@@ -154,28 +154,19 @@ class MalcevPresentation:
     # -- construction of conjugation tables -------------------------------
 
     def _build_tables(self):
-        h = self.h
-        unit = lambda i: tuple(1 if t == i else 0 for t in range(h))
-        self._cplus = {}   # (j, i) -> a_i^-1 a_j a_i
+        self._cplus = {}   # (j, i) -> a_i^-1 a_j a_i, for pairs with a relation
         self._cminus = {}  # (j, i) -> a_i a_j a_i^-1
-        for j in range(h - 1, -1, -1):
-            for i in range(j):
-                v = self.commutators.get((j, i))
-                if v is None:
-                    self._cplus[(j, i)] = unit(j)
-                    self._cminus[(j, i)] = unit(j)
-                    continue
-                # a_i^-1 a_j a_i = (a_i^-1 [a_j,a_i] a_i) * a_j
-                conj_v = self._conj(v, i, 1)
-                self._cplus[(j, i)] = self._rmul_gen(conj_v, j, 1)
-                # a_i a_j a_i^-1 = [a_j,a_i]^-1 * a_j
-                self._cminus[(j, i)] = self._rmul_gen(self._inv_generic(v), j, 1)
+        for (j, i), v in sorted(self.commutators.items(), reverse=True):
+            # a_i^-1 a_j a_i = (a_i^-1 [a_j,a_i] a_i) * a_j
+            self._cplus[(j, i)] = self._rmul_gen(self._conj(v, i, 1), j, 1)
+            # a_i a_j a_i^-1 = [a_j,a_i]^-1 * a_j
+            self._cminus[(j, i)] = self._rmul_gen(self._inv_generic(v), j, 1)
 
     # -- generic collection ------------------------------------------------
 
     def _conj_single(self, vec, i, eps):
         """a_i^-eps * vec * a_i^eps for eps in {1, -1}; vec supported on
-        indices > i."""
+        indices > i. A pair with no table entry commutes."""
         table = self._cplus if eps == 1 else self._cminus
         out = self.identity
         for j in range(self.h - 1, -1, -1):
@@ -184,7 +175,7 @@ class MalcevPresentation:
                 continue
             if j <= i:
                 raise ValidationError("conjugation support error")
-            out = self._mul_generic(self._pow_generic(table[(j, i)], e), out)
+            out = self._mul_generic(self._pow_generic(table.get((j, i)) or self.gen(j), e), out)
         return out
 
     def _conj(self, vec, i, t):
@@ -362,10 +353,6 @@ class MalcevPresentation:
             out[i] = c
         return tuple(out)
 
-    def abelianized(self, g):
-        """Coordinates of g in the torsion-free abelianization N/gamma_2."""
-        return tuple(g[i] for i in self.layer_indices(1))
-
 
 def multiply(p, g, h):
     return p.mult(p.check_element(g), p.check_element(h))
@@ -396,16 +383,21 @@ def verify_presentation(p):
             if e and p.weights[t] < w:
                 problems.append(f"commutator ({j},{i}) support too shallow")
     # overlap consistency (Sims, ch. 9): a_k (a_j a_i) = (a_k a_j) a_i for
-    # k > j > i, also with a_j or a_i inverted
-    for k in range(p.h):
+    # k > j > i, also with a_j or a_i inverted. A triple with no relation
+    # among (k, j), (k, i), (j, i) cannot fail: collection makes no
+    # correction on its span, so the compiled law is addition there.
+    triples = set()
+    for j, i in p.commutators:
+        triples.update((k, j, i) for k in range(j + 1, p.h))
+        triples.update((j, i, t) for t in range(i))
+        triples.update((j, t, i) for t in range(i + 1, j))
+    for k, j, i in sorted(triples):
         x = p.gen(k)
-        for j in range(k):
-            for i in range(j):
-                if any(p.mult(p.mult(x, y), z) != p.mult(x, p.mult(y, z))
-                       for y in (p.gen(j), p.inv(p.gen(j)))
-                       for z in (p.gen(i), p.inv(p.gen(i)))):
-                    problems.append(
-                        f"overlap ({p.basis[k]},{p.basis[j]},{p.basis[i]}) is not associative")
+        if any(p.mult(p.mult(x, y), z) != p.mult(x, p.mult(y, z))
+               for y in (p.gen(j), p.inv(p.gen(j)))
+               for z in (p.gen(i), p.inv(p.gen(i)))):
+            problems.append(
+                f"overlap ({p.basis[k]},{p.basis[j]},{p.basis[i]}) is not associative")
     # each layer w >= 2 must be spanned by commutators [a_k, a_m] with
     # weight(a_k) = 1 and weight(a_m) = w - 1, with index one
     for w in range(2, p.nilpotency_class + 1):

@@ -2,13 +2,13 @@
 orbit enumeration, depth scanning, the central pullback reduction, and
 central-subgroup separation.
 
-Two power-subgroup notions coexist deliberately. The congruence kernel of
-level m (subgroups.power_subgroup) is generated by basis m-th powers; it
-is normal of index m^h and drives the depth scans, but it is not
-characteristic in general. The full power subgroup N^m (generated by all
-m-th powers) is characteristic and is what the pullback reduction needs;
-it is recovered exactly as the preimage of the m-th power subgroup of the
-finite quotient by the congruence kernel.
+Two power-subgroup notions coexist deliberately. The depth scans run over
+every stable diagonal kernel that congruence_kernels yields, the level-m
+one (subgroups.power_subgroup: basis m-th powers, index m^h) among them;
+these are normal, but not characteristic in general. The full power
+subgroup N^m (generated by all m-th powers) is characteristic and is what
+the pullback reduction needs; it is recovered exactly as the preimage of
+the m-th power subgroup of the finite quotient by the level-m kernel.
 """
 
 from dataclasses import dataclass

@@ -12,6 +12,9 @@ def test_group_verify_builtin(capsys):
     assert main(["group", "verify", "heisenberg"]) == 0
     out = capsys.readouterr().out
     assert "class 2" in out
+    # no pair of Z^200 has a relation, so no overlap triple is checked
+    assert main(["group", "verify", "abelian:200"]) == 0
+    assert "200 generators" in capsys.readouterr().out
 
 
 def test_group_verify_file(tmp_path, capsys):
@@ -208,3 +211,51 @@ def test_bad_json_input_is_error(kind, text, tmp_path, monkeypatch, capsys):
     path.write_text(text)
     _assert_input_error([a.format(path) for a in _FILE_COMMANDS[kind]], capsys)
     assert not (tmp_path / "growth.csv").exists()
+
+
+@pytest.mark.parametrize("argv, conjugate", [
+    (["twisted", "decide", "heisenberg", "id", "-1,0,0", "1,0,0"], False),
+    (["twisted", "decide", "heisenberg", "id", "-1,0,0", "-1,0,3"], True),
+    (["twisted", "decide", "heisenberg", "id", "--output", "w.json", "-1,0,0", "-1,0,3"],
+     True),
+], ids=["not-conjugate", "conjugate", "option-first"])
+def test_decide_reads_elements_that_start_with_minus(argv, conjugate, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    if conjugate:
+        assert data["verified"]
+    else:
+        assert data["conjugate"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["depth", "heisenberg", "id", "-3,0,0", "-3,0,1", "--order-budget", "100"],
+    ["depth", "heisenberg", "id", "--order-budget", "100", "-3,0,0", "-3,0,1"],
+], ids=["option-last", "option-first"])
+def test_depth_reads_elements_that_start_with_minus(argv, capsys):
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["order"] == "27"
+
+
+def test_decide_writes_a_non_conjugate_answer_to_output(tmp_path, capsys):
+    path = tmp_path / "answer.json"
+    assert main(["twisted", "decide", "heisenberg", "id", "1,0,0", "0,1,0",
+                 "--output", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["conjugate"] is False
+    assert path.read_text() == printed
+
+
+def test_dim5_growth_prints_its_rows(capsys):
+    assert main(["examples", "dim5", "--samples", "2", "--max-norm", "6"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["examples", "dim5", "--samples", "2", "--max-norm", "6", "--growth"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    rows = data.pop("growth_rows")
+    assert data == plain
+    assert [row["n"] for row in rows] == [1, 2]
+    assert all(set(row) == {"n", "depth", "moduli", "exhaustive", "budget_exhausted"}
+               and row["depth"] > 0 for row in rows)

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -33,35 +34,55 @@ abelian_specs = st.one_of(st.text(max_size=4), st.integers(-2, 4).map(str)).map(
     lambda t: "abelian:" + t)
 
 
-def _run(argv):
+def _run(argv, usage_error_ok=False):
+    """main(argv) with its output captured; argparse may end a usage error
+    (exit 2) or --help (exit 0) only where usage_error_ok."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert usage_error_ok, (argv, exc.code, err.getvalue())
+        code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     return code
+
+
+@contextlib.contextmanager
+def _fresh_directory():
+    """A new temporary directory as the working directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            yield d
+        finally:
+            os.chdir(cwd)
 
 
 def _run_on_file(content, argv_for):
     """Write content to a file in a fresh directory, which is also the
     working directory, and run the command argv_for(path)."""
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as d:
+    with _fresh_directory() as d:
         path = os.path.join(d, "input.json")
         with open(path, "w") as fh:
             fh.write(content)
-        os.chdir(d)
-        try:
-            return _run(argv_for(path))
-        finally:
-            os.chdir(cwd)
+        return _run(argv_for(path))
+
+
+INT_LIST = re.compile(r"(-?[0-9]+(,-?[0-9]+)*)?")
 
 
 @FUZZ
 @given(x=elements, y=elements, group=st.sampled_from(["heisenberg", "abelian:2", "dim5"]))
 def test_fuzz_elements(x, y, group):
-    # "--" keeps an element such as -1,0,0 from reading as an option
-    _run(["twisted", "decide", group, "id", "--", x, y])
-    _run(["depth", group, "id", "--order-budget", "30", "--", x, y])
+    # an element such as -1,0,0 is a value wherever it stands; any other
+    # text may read as an option, such as --output, so the commands run in
+    # a fresh directory
+    usage_error_ok = not (INT_LIST.fullmatch(x) and INT_LIST.fullmatch(y))
+    with _fresh_directory():
+        _run(["twisted", "decide", group, "id", x, y], usage_error_ok)
+        _run(["depth", group, "id", "--order-budget", "30", x, y], usage_error_ok)
 
 
 @FUZZ

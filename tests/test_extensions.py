@@ -9,8 +9,9 @@ from twistsep.extensions import (ExtAutomorphism, FiniteExtension, ball_ext,
                                  ext_identity_automorphism, farb_depth_union,
                                  heisenberg_semidirect_c2, is_conjugate_virtual,
                                  z_semidirect_c2)
-from twistsep.groups import heisenberg
-from twistsep.malcev import GroupHom, identity_automorphism
+from twistsep.groups import free_abelian, heisenberg
+from twistsep.malcev import GroupHom, identity_automorphism, verify_hom
+from twistsep.subgroups import InducedSequence
 
 SEED = 20240214
 
@@ -48,6 +49,52 @@ def test_bad_cocycle_rejected():
                         {(1, 1): (1, (0,))})
 
 
+def _nonautomorphic_action():
+    # x -> x^2 is an injective endomorphism of Z, not an automorphism
+    Z = free_abelian(1)
+    return Z, [identity_automorphism(Z), GroupHom(Z, Z, [(2,)])], {(1, 1): (0, (0,))}
+
+
+def _order_four_action():
+    # s^2 = 1, but the rotation squares to -1, not to Inn(1) = 1
+    Z2 = free_abelian(2)
+    rotation = GroupHom(Z2, Z2, [(0, 1), (-1, 0)])
+    return Z2, [identity_automorphism(Z2), rotation], {(1, 1): (0, (0, 0))}
+
+
+def _identity_that_is_not_one():
+    # r = 1 with s_0 s_0 = z s_0: associative, but (0, 0) is no identity
+    Z = free_abelian(1)
+    return Z, [identity_automorphism(Z)], {(0, 0): (0, (1,))}
+
+
+@pytest.mark.parametrize("table", [_nonautomorphic_action, _order_four_action,
+                                   _identity_that_is_not_one],
+                         ids=["non-automorphism", "order-4-action", "no-identity"])
+def test_invalid_extension_data_rejected(table):
+    with pytest.raises(ValidationError):
+        FiniteExtension(*table())
+
+
+def _kernel_only():
+    H = heisenberg()
+    return FiniteExtension(H, [identity_automorphism(H)], {})
+
+
+@pytest.mark.parametrize("build", [z_semidirect_c2, heisenberg_semidirect_c2, _kernel_only],
+                         ids=["z-c2", "h3-c2", "r1"])
+def test_conjugation_on_kernel_is_conjugation_in_g(build):
+    # the restriction read from the tables equals g m g^-1 computed in G
+    E = build()
+    p = E.kernel
+    rng = random.Random(SEED + 2)
+    for _ in range(50):
+        g = E.element(tuple(rng.randint(-4, 4) for _ in range(p.h)), rng.randrange(E.r))
+        conj = [E.mult(E.mult(g, E.element(p.gen(i), 0)), E.inv(g)) for i in range(p.h)]
+        assert all(E.in_kernel(m) for m in conj)
+        assert E.conjugation_on_kernel(g).images == [m.n for m in conj]
+
+
 def test_heisenberg_extension_arithmetic():
     E = heisenberg_semidirect_c2()
     rng = random.Random(SEED + 1)
@@ -64,7 +111,6 @@ def test_conjugation_on_kernel_is_automorphism():
     H = E.kernel
     g = E.element((1, 2, 0), 1)
     f = E.conjugation_on_kernel(g)
-    from twistsep.malcev import verify_hom
     assert verify_hom(f, check_automorphism=True) == []
 
 
@@ -126,8 +172,9 @@ def test_farb_depth_union_heisenberg():
 def test_farb_depth_union_is_one_pass(monkeypatch):
     # the part scans decide conjugacy, the class is decomposed once, and
     # the intersection of the two part kernels is already normal and
-    # phi-invariant, so stabilisation intersects nothing more
-    calls = {"virtual": 0, "decompose": 0, "intersect": 0}
+    # phi-invariant, so stabilisation builds no image and intersects
+    # nothing more
+    calls = {"virtual": 0, "decompose": 0, "intersect": 0, "image": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -141,6 +188,8 @@ def test_farb_depth_union_is_one_pass(monkeypatch):
                         counted("decompose", extensions.decompose_twisted_class))
     monkeypatch.setattr(extensions, "intersect_finite_index",
                         counted("intersect", extensions.intersect_finite_index))
+    monkeypatch.setattr(InducedSequence, "conjugated",
+                        counted("image", InducedSequence.conjugated))
     E = heisenberg_semidirect_c2()
     phi = ext_identity_automorphism(E)
     x = E.element((2, 0, 1), 0)
@@ -148,7 +197,7 @@ def test_farb_depth_union_is_one_pass(monkeypatch):
     assert all(E.in_kernel(E.mult(y, E.inv(x_i)))
                for _, x_i in decompose_twisted_class(E, phi, x))
     res = farb_depth_union(E, phi, x, y)
-    assert calls == {"virtual": 0, "decompose": 1, "intersect": 1}
+    assert calls == {"virtual": 0, "decompose": 1, "intersect": 1, "image": 0}
     assert len(res["part_orders"]) == 2 and res["moduli"] is not None
 
 
@@ -166,6 +215,18 @@ def test_ext_automorphism_validation():
         # restriction incompatible with the coset action
         ExtAutomorphism(E, GroupHom(Z, Z, [(2,)]), [0, 1],
                         [Z.identity, Z.identity])
+
+
+def test_ext_automorphism_must_commute_with_the_coset_action():
+    # Z^2 x| C2 with the swap: a shear is an automorphism of Z^2, but
+    # shear(swap(e1)) = e1 + e2 while swap(shear(e1)) = e2
+    Z2 = free_abelian(2)
+    E = FiniteExtension(Z2, [identity_automorphism(Z2), GroupHom(Z2, Z2, [(0, 1), (1, 0)])],
+                        {(1, 1): (0, (0, 0))})
+    shear = GroupHom(Z2, Z2, [(1, 0), (1, 1)])
+    assert verify_hom(shear, check_automorphism=True) == []
+    with pytest.raises(ValidationError, match="multiplicativity"):
+        ExtAutomorphism(E, shear, [0, 1], [Z2.identity] * 2)
 
 
 def test_restriction_of_separating_quotient_separates_in_kernel():

@@ -1,8 +1,11 @@
-"""Static import hygiene for the package, with the standard library's
-ast only: every module-level import is used by its module, and no
-function body imports anything (no import cycle needs it)."""
+"""Static hygiene for the package, with the standard library's ast only:
+every module-level import is used by its module, no function body
+imports anything (no import cycle needs it), and every function, class
+and method is referenced somewhere in src/, tests/ or bench/ outside its
+own definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,55 @@ def test_no_imports_inside_functions(path):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found.append(f"{fn.name} (line {node.lineno})")
     assert found == []
+
+
+ROOT = PACKAGE.parent.parent
+SOURCES = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _references(node):
+    """(name, kind) for every name node reads: a loaded or deleted Name, an
+    attribute, an imported name, and a string constant (the benchmark
+    tracer names what it wraps as "Class.method" or "function")."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id, "name"
+        elif isinstance(n, ast.Attribute):
+            yield n.attr, "attr"
+        elif isinstance(n, ast.alias):
+            yield n.name.split(".")[-1], "name"
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value, "string"
+
+
+def _definitions(tree):
+    """(qualified name, node, is a method) for every function and class."""
+    def walk(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield prefix + child.name, child, in_class
+                yield from walk(child, prefix + child.name + ".",
+                                isinstance(child, ast.ClassDef))
+            else:
+                yield from walk(child, prefix, in_class)
+    yield from walk(tree, "", False)
+
+
+def test_every_definition_is_referenced():
+    trees = {path: _tree(path) for path in SOURCES}
+    everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
+    dead = []
+    for path in MODULES:
+        for qualname, node, method in _definitions(trees[path]):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            # a method is reached through an attribute or its qualified
+            # name; any other definition also through its bare name
+            wanted = {(name, "attr"), (qualname, "string")}
+            if not method:
+                wanted |= {(name, "name"), (name, "string")}
+            outside = everywhere - Counter(_references(node))
+            if not wanted & outside.keys():
+                dead.append(f"{path.name}: {qualname}")
+    assert dead == []

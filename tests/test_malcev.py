@@ -211,6 +211,60 @@ def test_inconsistent_presentations_are_rejected():
     assert "overlap (c,b,a) is not associative" in verify_presentation(pres)
 
 
+def _random_presentations(weights, count, rng):
+    """Presentations on the given weights whose commutators are drawn at
+    random (each pair with probability 0.6, entries in [-2, 2] on the
+    admissible support), keeping those the constructor accepts."""
+    h, out = len(weights), []
+    while len(out) < count:
+        comms = {}
+        for j in range(h):
+            for i in range(j):
+                if rng.random() < 0.6:
+                    comms[(j, i)] = [rng.randint(-2, 2) if weights[t] >= weights[i] + weights[j]
+                                     else 0 for t in range(h)]
+        try:
+            out.append(MalcevPresentation([f"a{t}" for t in range(h)], weights, comms))
+        except ValidationError:
+            pass
+    return out
+
+
+def _overlaps_on_all_triples(p):
+    return [f"overlap ({p.basis[k]},{p.basis[j]},{p.basis[i]}) is not associative"
+            for k in range(p.h) for j in range(k) for i in range(j)
+            if any(p.mult(p.mult(p.gen(k), y), z) != p.mult(p.gen(k), p.mult(y, z))
+                   for y in (p.gen(j), p.inv(p.gen(j)))
+                   for z in (p.gen(i), p.inv(p.gen(i))))]
+
+
+def test_overlap_check_on_related_triples_equals_all_triples():
+    # verify_presentation checks only the triples with a relation among
+    # their pairs; on random presentations, consistent or not, it reports
+    # the same overlaps as the loop over every triple
+    rng = random.Random(SEED)
+    failing = 0
+    for weights in ((1, 1, 2), (1, 1, 1, 2, 2), (1, 1, 2, 3), (1, 1, 1, 2, 3)):
+        for p in _random_presentations(weights, 25, rng):
+            expected = _overlaps_on_all_triples(p)
+            assert [x for x in verify_presentation(p) if x.startswith("overlap")] == expected
+            failing += bool(expected)
+    assert failing >= 10
+
+
+def test_free_abelian_needs_no_tables_or_products(monkeypatch):
+    # no pair has a relation, so no conjugation table entry is stored and
+    # no overlap triple needs a product
+    Z = free_abelian(200)
+    assert Z._cplus == {} and Z._cminus == {}
+    calls = []
+    mult = MalcevPresentation.mult
+    monkeypatch.setattr(MalcevPresentation, "mult",
+                        lambda self, g, h: calls.append(1) or mult(self, g, h))
+    assert verify_presentation(Z) == []
+    assert calls == []
+
+
 def test_verify_hom_and_automorphisms():
     phi = dim5_automorphism(D5)
     assert verify_hom(phi, check_automorphism=True) == []
