@@ -274,9 +274,11 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         args.func(args)
+    except SystemExit as exc:  # from argparse: a usage error exits 1, not 2
+        raise SystemExit(1 if exc.code else 0) from None
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,8 @@ from .subgroups import diagonal_kernel, intersect_finite_index
 from .quotients import depth_scan
 from .twisted import TwistedWitness, is_twisted_conjugate
 
+STABILIZE_ROUNDS = 6
+
 
 @dataclass(frozen=True)
 class ExtElement:
@@ -126,6 +128,8 @@ class ExtAutomorphism:
     def __init__(self, ext, restriction, perm, corrections):
         self.ext = ext
         self.restriction = restriction
+        if restriction.domain is not ext.kernel or restriction.codomain is not ext.kernel:
+            raise ValidationError("the restriction must act on the extension's kernel")
         self.perm = list(perm)
         self.corrections = [ext.kernel.check_element(c) for c in corrections]
         if self.perm[0] != 0 or self.corrections[0] != ext.kernel.identity:
@@ -202,7 +206,7 @@ def ball_ext(ext, n, cap=500_000):
     return _ball_distances(ext, gens, n, cap, "extension ball")
 
 
-def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
+def farb_depth_union(ext, phi, x, y, order_budget=20000):
     """Separate y from [x]_phi in a finite quotient of the extension,
     assembled from per-part kernel separations.
 
@@ -238,7 +242,7 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
     combined = kernels[0] if len(kernels) == 1 else intersect_finite_index(p, kernels)
     # actions[0] is the identity (FiniteExtension._check)
     autos = ext.actions[1:] + [phi.restriction]
-    for _ in range(stabilize_rounds):
+    for _ in range(STABILIZE_ROUNDS):
         # a(K) has K's index, so a keeps K exactly when a(K) <= K
         moved = [a for a in autos
                  if not all(combined.contains(a.apply(g)) for g in combined.generators())]
@@ -247,7 +251,7 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000, stabilize_rounds=6):
         combined = intersect_finite_index(p, [combined] + [combined.conjugated(a) for a in moved])
     else:
         raise BudgetExceededError("core stabilization did not converge",
-                                  budget="stabilization rounds", limit=stabilize_rounds)
+                                  budget="stabilization rounds", limit=STABILIZE_ROUNDS)
     order = combined.index() * ext.r
     # verify separation in the finite quotient G/K by orbit enumeration on
     # coset forms: K is normal in G and phi-invariant once stable, so the

@@ -84,9 +84,9 @@ def fit_exponent(rows):
 
 def measure_conj_growth(config):
     """Growth rows: for each radius n and automorphism, the maximal
-    congruence depth over the pairs of the n-ball (exhaustive, or sampled
-    with the flag recorded), from one depth scan per row. The scan reports
-    twisted conjugate pairs, which have no depth, and the row skips them.
+    congruence depth over the pairs x < y of the n-ball (depth is symmetric)
+    or over sampled pairs, flagged, from one depth scan per row. Conjugate
+    pairs have no depth; the scan reports them and the row skips them.
     The row's witness is the first pair attaining the maximum."""
     p = config.group
     gens = p.standard_gens()
@@ -106,7 +106,7 @@ def measure_conj_growth(config):
                          for _ in range(config.sample_pairs)]
                 exhaustive = False
             else:
-                pairs = [(x, y) for x in elements for y in elements if x != y]
+                pairs = [(x, y) for x in elements for y in elements if x < y]
                 exhaustive = True
             best = (0, None, None, None)   # depth, witness x and y, moduli
             exhausted = False
@@ -217,8 +217,8 @@ def heisenberg_central_pair_rows(radii, order_budget=200):
     return rows
 
 
-def lower_bound_witnesses(primes, translates=3, order_budget=None):
-    """The central translate family x^p z^i for each prime: pairwise
+def lower_bound_witnesses(primes, order_budget=None):
+    """The central translate family x^p z^i, i = 0..3, for each prime: pairwise
     non-conjugate, with the congruence depth of (x^p, x^p z) exactly p^3
     (separation at order p^3, exhaustive non-separation below)."""
     p = heisenberg()
@@ -226,7 +226,7 @@ def lower_bound_witnesses(primes, translates=3, order_budget=None):
     out = []
     for q in primes:
         xq = p.pow(p.gen(0), q)
-        fam = [p.mult(xq, p.pow(p.gen(2), i)) for i in range(translates + 1)]
+        fam = [p.mult(xq, p.pow(p.gen(2), i)) for i in range(4)]
         for i in range(len(fam)):
             for j in range(i + 1, len(fam)):
                 if j - i < q and isinstance(
@@ -260,6 +260,8 @@ def dim5_scenario(samples=50, max_norm=40, seed=DEFAULT_SEED, growth_radii=(1, 2
     centralizer, the exact psi values on the central generators, the
     square-root trend of the psi-image norm, the one-dimensional central
     quotients of Hirsch length 3, and a small growth scan."""
+    if max_norm < 6:
+        raise ValidationError(f"max_norm must be at least 6 for the norm fit, got {max_norm}")
     p = dim5()
     phi = dim5_automorphism(p)
     problems = verify_hom(phi, check_automorphism=True)

@@ -25,6 +25,7 @@ from .twisted import (TwistedWitness, blackburn_constants, center,
                       is_twisted_conjugate, twisted_chain, _vp)
 
 DEFAULT_ORDER_BUDGET = 5000
+CENTRAL_QUOTIENT_STEPS = 20
 
 
 class FiniteQuotient:
@@ -316,8 +317,8 @@ class CentralQuotientError(ValidationError):
     """The adapted quotient construction failed; carries the reason."""
 
 
-def _center_lattice(pres, center_seq=None):
-    zc = center_seq or center(pres)
+def _center_lattice(pres):
+    zc = center(pres)
     rows = [list(g) for g in zc.generators()]
     return zc, lin.Lattice.from_rows(pres.h, rows)
 
@@ -414,7 +415,7 @@ def central_quotient(pres, c_entries):
     return quotient, hom
 
 
-def one_dim_central_quotient(pres, z, extra_kill=None, max_steps=20):
+def one_dim_central_quotient(pres, z, extra_kill=None):
     """A torsion-free quotient whose center is generated by the image of
     the primitive central element z. Returns (quotient, hom, steps).
 
@@ -427,7 +428,7 @@ def one_dim_central_quotient(pres, z, extra_kill=None, max_steps=20):
     z_cur = pres.check_element(z)
     steps = 0
     extra = [pres.check_element(g) for g in (extra_kill or [])]
-    for _ in range(max_steps):
+    for _ in range(CENTRAL_QUOTIENT_STEPS):
         zc, zlat = _center_lattice(current)
         coords = zlat.coordinates(z_cur)
         if coords is None:

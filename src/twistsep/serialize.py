@@ -24,11 +24,11 @@ def _decode_int(v):
     raise ValidationError(f"expected an integer, got {type(v).__name__}")
 
 
-def _decode_vector(v, length=None):
+def _decode_vector(v, length):
     if not isinstance(v, list):
         raise ValidationError(f"expected a list of integers, got {type(v).__name__}")
     out = tuple(_decode_int(x) for x in v)
-    if length is not None and len(out) != length:
+    if len(out) != length:
         raise ValidationError("exponent vector has the wrong length")
     return out
 
@@ -93,8 +93,7 @@ def hom_to_dict(hom):
     }
 
 
-def hom_from_dict(data, domain, codomain=None):
-    codomain = codomain or domain
+def hom_from_dict(data, domain):
     images = []
     imgs = data.get("images", data)
     if not isinstance(imgs, dict):
@@ -102,8 +101,8 @@ def hom_from_dict(data, domain, codomain=None):
     for name in domain.basis:
         if name not in imgs:
             raise ValidationError(f"automorphism file misses the image of {name!r}")
-        images.append(_decode_vector(imgs[name], codomain.h))
-    return GroupHom(domain, codomain, images)
+        images.append(_decode_vector(imgs[name], domain.h))
+    return GroupHom(domain, domain, images)
 
 
 def matrix_to_json(M):

@@ -16,6 +16,8 @@ from .errors import BudgetExceededError, ValidationError
 from .lattice import xgcd
 from .malcev import breadth_first
 
+CLOSURE_PASSES = 200
+
 
 def _lead(g):
     for i, e in enumerate(g):
@@ -30,12 +32,12 @@ class InducedSequence:
         self.entries = dict(entries or {})
 
     @classmethod
-    def from_generators(cls, pres, gens, conjugators=None, max_passes=200):
+    def from_generators(cls, pres, gens, conjugators=None):
         seq = cls(pres)
         work = [pres.check_element(g) for g in gens]
         while work:
             seq._insert(work.pop())
-        seq._close(conjugators or [], max_passes)
+        seq._close(conjugators or [])
         seq.canonicalize()
         return seq
 
@@ -71,10 +73,10 @@ class InducedSequence:
             self._insert(s_res)
             g = g_res
 
-    def _close(self, conjugators, max_passes):
+    def _close(self, conjugators):
         p = self.pres
         conj = [p.check_element(c) for c in conjugators]
-        for _ in range(max_passes):
+        for _ in range(CLOSURE_PASSES):
             changed = False
             entries = list(self.entries.values())
             for s in entries:
@@ -84,7 +86,7 @@ class InducedSequence:
             if not changed:
                 return
         raise BudgetExceededError("induced sequence closure did not stabilize",
-                                  budget="closure passes", limit=max_passes)
+                                  budget="closure passes", limit=CLOSURE_PASSES)
 
     def canonicalize(self):
         """Reduce each entry's tail modulo deeper entries, making the

@@ -54,7 +54,7 @@ class TwistedChain:
     is read. levels, fixed, determinants and norm_report force the whole
     chain. An inner automorphism acts trivially on every layer
     gamma_i/gamma_{i+1}, so Inn(x) o phi has phi's psi_1 and hence phi's
-    N_2; is_twisted_conjugate seeds each stage's N_2 from phi's chain,
+    N_2; is_twisted_conjugate seeds its one chain's N_2 from phi's chain,
     exactly, since equal subgroups have equal canonical sequences."""
 
     def __init__(self, pres, maps):
@@ -203,37 +203,35 @@ def is_twisted_conjugate(pres, phi, x, y):
     """Decide x ~_phi y. Returns a TwistedWitness (verified exactly) or a
     NotTwistedConjugate certificate.
 
-    Works down the lower central series: at each stage the difference
-    y x^-1 lies ever deeper, and solvability at its layer is an exact
-    integer lattice condition on the psi image of the composed
-    automorphism Inn(x) o phi. Choices at one stage never affect deeper
-    solvability because conjugacy is re-based at every stage.
+    z x phi(z)^-1 = y exactly when z phi_x(z)^-1 = y x^-1, for the one twist
+    phi_x = Inn(x) o phi. At the weight w of the residual d = y x^-1, z must
+    lie in N_w(phi_x) with psi_w(z) = d's layer-w coordinates, an exact
+    lattice condition; any such z leaves z^-1 d phi_x(z) in gamma_{w+1}, and
+    any other differs by N_{w+1}(phi_x), which changes no later verdict.
     """
     p = pres
     x = p.check_element(x)
     y = p.check_element(y)
-    x_cur = x
+    phi_x = compose_with_inner(p, phi, x)
+    chain = twisted_chain(p, phi_x)
+    chain._seqs.setdefault(2, twisted_chain(p, phi).subgroup(2))  # = N_2(phi_x)
+    d = p.mult(y, p.inv(x))
     witness = p.identity
-    n2 = twisted_chain(p, phi).subgroup(2)
     for _ in range(p.nilpotency_class + 1):
-        d = p.mult(y, p.inv(x_cur))
         if d == p.identity:
             w = TwistedWitness(witness, x, y)
             if not w.verify(p, phi):
                 raise TwistsepError("internal witness verification failed")
             return w
         wt = p.weight_of(d)
-        phi_x = compose_with_inner(p, phi, x_cur)
-        chain = twisted_chain(p, phi_x)
-        chain._seqs.setdefault(2, n2)  # N_2(Inn(x_cur) o phi) = N_2(phi)
         lv = chain.level(wt)
         target = list(p.layer_coords(d, wt))
         v = lv.preimage(target)
         if v is None:
             return NotTwistedConjugate(wt, tuple(target), lv.image.rows)
         z = _realize_class(p, lv.seq.generators(), v)
-        x_cur = p.mult(p.mult(z, x_cur), p.inv(phi.apply(z)))
-        witness = p.mult(z, witness)
+        d = p.mult(p.mult(p.inv(z), d), phi_x.apply(z))
+        witness = p.mult(witness, z)
     raise TwistsepError("twisted conjugacy recursion did not terminate")
 
 

@@ -55,6 +55,24 @@ def test_depth_budget_exit_code(capsys):
                  "--order-budget", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["depth", "heisenberg", "id", "1,0,0", "--bogus"],
+    ["twisted", "decide", "heisenberg", "id", "1,0,0"],
+    ["bogus"],
+], ids=["unknown-option", "missing-argument", "unknown-command"])
+def test_usage_error_exits_one(argv, capsys):
+    # exit 2 is kept for an exhausted budget
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_dim5_max_norm_below_six_is_error(capsys):
+    assert main(["examples", "dim5", "--samples", "2", "--max-norm", "5"]) == 1
+    assert "max_norm must be at least 6" in capsys.readouterr().err
+
+
 def test_depth_conjugate_pair_is_error(capsys):
     assert main(["depth", "heisenberg", "id", "1,0,0", "1,0,0"]) == 1
 

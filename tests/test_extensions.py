@@ -217,6 +217,13 @@ def test_ext_automorphism_validation():
                         [Z.identity, Z.identity])
 
 
+def test_ext_automorphism_restriction_must_act_on_the_kernel():
+    E = z_semidirect_c2()
+    Z2 = free_abelian(2)
+    with pytest.raises(ValidationError, match="kernel"):
+        ExtAutomorphism(E, identity_automorphism(Z2), [0, 1], [E.kernel.identity] * 2)
+
+
 def test_ext_automorphism_must_commute_with_the_coset_action():
     # Z^2 x| C2 with the swap: a shear is an automorphism of Z^2, but
     # shear(swap(e1)) = e1 + e2 while swap(shear(e1)) = e2

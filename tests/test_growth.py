@@ -6,11 +6,13 @@ import pytest
 from twistsep.errors import ValidationError
 from twistsep.groups import (free_abelian, heisenberg,
                              heisenberg_automorphism)
+from twistsep import growth
 from twistsep.growth import (ExperimentConfig, GrowthRow, dim5_scenario,
                              fit_exponent, growth_rows_to_csv,
                              heisenberg_case, heisenberg_central_pair_rows,
                              lower_bound_witnesses, measure_conj_growth)
-from twistsep.malcev import compose_with_inner, identity_automorphism
+from twistsep.malcev import ball, compose_with_inner, identity_automorphism
+from twistsep.quotients import depth_scan
 from twistsep.twisted import TwistedChain
 
 SEED = 20240214
@@ -87,6 +89,32 @@ def test_measure_growth_h3_small():
         assert r.depth > 0 and not r.budget_exhausted
 
 
+def test_exhaustive_growth_scans_each_unordered_pair_once(monkeypatch):
+    # depth is symmetric, so the rows over x < y equal the maximum over all
+    # ordered pairs, with the first maximal ordered pair as witness
+    fam = [("id", identity_automorphism(H3)),
+           ("A", heisenberg_automorphism(H3, [[2, 1], [1, 1]]))]
+    scanned = []
+    monkeypatch.setattr(growth, "depth_scan", lambda p, phi, pairs, budget:
+                        scanned.append(len(pairs)) or depth_scan(p, phi, pairs, budget))
+    rows = measure_conj_growth(ExperimentConfig(H3, fam, [1, 2], order_budget=200))
+    expected, sizes = [], []
+    for name, phi in fam:
+        for n in (1, 2):
+            elements = ball(H3, H3.standard_gens(), n)
+            sizes.append(len(elements) * (len(elements) - 1) // 2)
+            pairs = [(x, y) for x in elements for y in elements if x != y]
+            best, exhausted = (0, None, None, None), False
+            for (x, y), res in zip(pairs, depth_scan(H3, phi, pairs, 200)):
+                exhausted |= res.budget_exhausted
+                if res.separated and res.order > best[0]:
+                    best = (res.order, x, y, res.moduli)
+            expected.append(GrowthRow(n, name, *best, True, exhausted))
+    assert scanned == sizes
+    assert rows == expected
+    assert all(r.depth > 0 for r in rows)
+
+
 def test_growth_rows_csv(tmp_path):
     rows = [GrowthRow(1, "id", 3, (1, 0, 0), (0, 1, 0), (3, 1, 1))]
     path = tmp_path / "rows.csv"
@@ -129,3 +157,9 @@ def test_dim5_scenario_quick():
     assert res["psi_b2"] == (-1, 0)
     assert res["sqrt_fit_exponent"] <= 0.6
     assert res["central_quotient_hirsch"] == (3, 3)
+
+
+def test_dim5_scenario_names_the_least_max_norm():
+    # max_norm 5 leaves the norm rows 2 and 4, too few for the fit
+    with pytest.raises(ValidationError, match="max_norm must be at least 6"):
+        dim5_scenario(samples=2, max_norm=5, growth_radii=())

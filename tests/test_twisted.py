@@ -160,6 +160,31 @@ def test_decision_closes_only_what_it_reads(monkeypatch):
     assert min(shallow.values()) >= 5, shallow
 
 
+def test_decision_builds_one_chain_for_its_twist(monkeypatch):
+    # every decision for one x reads the chain of Inn(x) o phi and seeds its
+    # N_2 from phi's chain, so 40 decisions build exactly those two chains
+    U = ut4()  # a fresh presentation, so the chain memo starts empty
+    phi = ut_flip(U)
+    builds = []
+    init = TwistedChain.__init__
+    monkeypatch.setattr(TwistedChain, "__init__",
+                        lambda self, *a: builds.append(1) or init(self, *a))
+    rng = random.Random(SEED + 22)
+    x = (1, -2, 1, 0, 2, -1)
+    for k in range(40):
+        w = tuple(rng.randint(-2, 2) for _ in range(6))
+        if k % 2:
+            y = U.mult(U.mult(w, x), U.inv(phi.apply(w)))
+        else:
+            y = U.mult(w, x)
+        res = is_twisted_conjugate(U, phi, x, y)
+        if k % 2:
+            assert isinstance(res, TwistedWitness)
+        if isinstance(res, TwistedWitness):
+            assert res.verify(U, phi)
+    assert len(builds) == 2
+
+
 def test_psi_is_homomorphism():
     rng = random.Random(SEED)
     for pres, phi in ((H3, CASE2), (H3, CASE1), (D5, PHI5)):
