@@ -26,6 +26,7 @@ from .quotients import depth_scan
 from .twisted import TwistedWitness, is_twisted_conjugate
 
 STABILIZE_ROUNDS = 6
+UNION_ORDER_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -206,19 +207,20 @@ def ball_ext(ext, n, cap=500_000):
     return _ball_distances(ext, gens, n, cap, "extension ball")
 
 
-def farb_depth_union(ext, phi, x, y, order_budget=20000):
+def farb_depth_union(ext, phi, x, y):
     """Separate y from [x]_phi in a finite quotient of the extension,
     assembled from per-part kernel separations.
 
     One pass over the translated parts of [x]_phi: G/N already separates
-    a part outside N, and each part inside N gets a depth scan, which also
-    decides it; a conjugate part means y ~_phi x and raises. The scans'
-    kernels are intersected (N itself stands in when no part lies in N)
-    and then with their images under the coset action and phi until
-    stable, giving a normal, phi-invariant kernel. An image has the same
-    index, so only a round in which some automorphism moves a generator
-    out of the kernel builds images and intersects. The separation is
-    re-verified by orbit enumeration in the finite quotient of G.
+    a part outside N, and each part inside N gets a depth scan up to order
+    UNION_ORDER_BUDGET, which also decides it; a conjugate part means
+    y ~_phi x and raises. The scans' kernels are intersected (N itself
+    stands in when no part lies in N) and then with their images under
+    the coset action and phi until stable, giving a normal, phi-invariant
+    kernel. An image has the same index, so only a round in which some
+    automorphism moves a generator out of the kernel builds images and
+    intersects. The separation is re-verified by orbit enumeration in the
+    finite quotient of G.
 
     Returns a dict with the combined quotient order, per-part orders, and
     the product bound the combined order is compared against.
@@ -227,7 +229,7 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000):
     parts = []
     for f, x_i in decompose_twisted_class(ext, phi, x):
         d = ext.mult(y, ext.inv(x_i))
-        res = depth_scan(p, f, [(p.identity, d.n)], order_budget)[0] \
+        res = depth_scan(p, f, [(p.identity, d.n)], UNION_ORDER_BUDGET)[0] \
             if ext.in_kernel(d) else None
         if res is not None and res.conjugate:
             raise ValidationError("x and y are conjugate; nothing to separate")
@@ -235,7 +237,7 @@ def farb_depth_union(ext, phi, x, y, order_budget=20000):
     scanned = [res for res in parts if res is not None]
     if not all(res.separated for res in scanned):
         raise BudgetExceededError("no separating congruence quotient for a part",
-                                  budget="order budget", limit=order_budget)
+                                  budget="order budget", limit=UNION_ORDER_BUDGET)
     part_orders = [ext.r if res is None else res.order for res in parts]
     kernels = [diagonal_kernel(p, res.moduli) for res in scanned] \
         or [diagonal_kernel(p, (1,) * p.h)]

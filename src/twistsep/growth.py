@@ -23,6 +23,7 @@ from .quotients import congruence_depth, depth_scan, one_dim_central_quotient
 from .twisted import TwistedWitness, is_twisted_conjugate, twisted_chain
 
 DEFAULT_SEED = 20240214
+CENTRAL_PAIR_ORDER_BUDGET = 200
 
 
 @dataclass
@@ -187,7 +188,7 @@ def heisenberg_case(pres, phi, samples=50, seed=DEFAULT_SEED):
     return report
 
 
-def heisenberg_central_pair_rows(radii, order_budget=200):
+def heisenberg_central_pair_rows(radii):
     """Case-3 growth rows along the central witness family (x^p, x^p z^-1)
     for primes p: the mechanism behind the cubic growth. A pair enters the
     row at n once both elements fit in the n-ball; its depth is the exact
@@ -201,10 +202,11 @@ def heisenberg_central_pair_rows(radii, order_budget=200):
         y = p.mult(xq, p.inv(p.gen(2)))
         lx = word_length(p, gens, xq)
         ly = word_length(p, gens, y)
-        res = congruence_depth(p, phi, xq, y, order_budget)
+        res = congruence_depth(p, phi, xq, y, CENTRAL_PAIR_ORDER_BUDGET)
         if not res.separated:
             raise BudgetExceededError("central pair depth scan exhausted",
-                                      budget="order budget", limit=order_budget)
+                                      budget="order budget",
+                                      limit=CENTRAL_PAIR_ORDER_BUDGET)
         pairs.append((max(lx, ly), res.order, xq, y))
     rows = []
     for n in radii:
@@ -217,10 +219,11 @@ def heisenberg_central_pair_rows(radii, order_budget=200):
     return rows
 
 
-def lower_bound_witnesses(primes, order_budget=None):
+def lower_bound_witnesses(primes):
     """The central translate family x^p z^i, i = 0..3, for each prime: pairwise
     non-conjugate, with the congruence depth of (x^p, x^p z) exactly p^3
-    (separation at order p^3, exhaustive non-separation below)."""
+    (separation at order p^3, exhaustive non-separation below), scanned
+    with an order budget of p^3 + 50."""
     p = heisenberg()
     phi = identity_automorphism(p)
     out = []
@@ -232,7 +235,7 @@ def lower_bound_witnesses(primes, order_budget=None):
                 if j - i < q and isinstance(
                         is_twisted_conjugate(p, phi, fam[i], fam[j]), TwistedWitness):
                     raise ValidationError("translate family failed pairwise non-conjugacy")
-        budget = order_budget or (q ** 3 + 50)
+        budget = q ** 3 + 50
         res = congruence_depth(p, phi, fam[0], fam[1], budget)
         if not res.separated:
             raise BudgetExceededError(f"no separation within budget for p={q}",

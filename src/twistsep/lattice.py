@@ -302,19 +302,20 @@ class Lattice:
     def rank(self):
         return len(self.rows)
 
-    def contains(self, v):
+    def reduce(self, v):
+        """The canonical representative of v modulo the lattice: each
+        Hermite row in turn takes v's pivot entry into [0, pivot), so two
+        vectors reduce alike exactly when they differ by a lattice vector."""
         v = list(v)
         for row in self.rows:
-            p = next((j for j, x in enumerate(row) if x), None)
-            if p is None:
-                continue
-            if v[p] % row[p] == 0:
-                q = v[p] // row[p]
-                if q:
-                    v = [x - q * y for x, y in zip(v, row)]
-            elif v[p] != 0:
-                return False
-        return not any(v)
+            p = next(j for j, x in enumerate(row) if x)
+            q = v[p] // row[p]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return tuple(v)
+
+    def contains(self, v):
+        return not any(self.reduce(v))
 
     def coordinates(self, v):
         """Coefficients of v over the basis rows, or None."""

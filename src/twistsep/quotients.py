@@ -2,13 +2,17 @@
 orbit enumeration, depth scanning, the central pullback reduction, and
 central-subgroup separation.
 
-Two power-subgroup notions coexist deliberately. The depth scans run over
-every stable diagonal kernel that congruence_kernels yields, the level-m
-one (subgroups.power_subgroup: basis m-th powers, index m^h) among them;
-these are normal, but not characteristic in general. The full power
-subgroup N^m (generated by all m-th powers) is characteristic and is what
-the pullback reduction needs; it is recovered exactly as the preimage of
-the m-th power subgroup of the finite quotient by the level-m kernel.
+Depth is exact over every stable diagonal kernel, and the scans find it by
+visiting only the kernels of prime-power order, which congruence_kernels
+yields (its docstring proves that nothing is lost).
+
+Two power-subgroup notions coexist deliberately. The stable diagonal
+kernels include the level-m one (subgroups.power_subgroup: basis m-th
+powers, index m^h); these are normal, but not characteristic in general.
+The full power subgroup N^m (generated by all m-th powers) is
+characteristic and is what the pullback reduction needs; it is recovered
+exactly as the preimage of the m-th power subgroup of the finite quotient
+by the level-m kernel.
 """
 
 from dataclasses import dataclass
@@ -126,11 +130,49 @@ def _ordered_factorizations(n, h):
         d += 1
 
 
+def _is_prime_power(n):
+    """Whether n > 1 is a power of a single prime."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def congruence_kernels(pres, max_order):
-    """Stable diagonal congruence kernels in increasing quotient order
-    (ties by moduli vector), as a lazy iterator of (order, moduli, seq).
-    Validity results are cached per presentation by diagonal_kernel."""
+    """Stable diagonal congruence kernels of prime-power quotient order, in
+    increasing order (ties by moduli vector), as a lazy iterator of
+    (order, moduli, seq). Validity results are cached per presentation by
+    diagonal_kernel.
+
+    A scan over these finds the same first separating kernel, in the same
+    order, as a scan over every stable diagonal kernel. Let K be stable
+    with moduli m, so K is generated by the a_i^(m_i), and let phi be any
+    automorphism.
+    (a) Each prime part is itself a stable kernel. For a prime p let mu be
+        the p-parts of m, and K_p >= K the kernel of N -> N/K -> (Sylow p
+        of N/K). The image of a_i there has p-power order dividing m_i, so
+        a_i^(mu_i) lies in K_p. Hence K <= D(mu) <= K_p, where D(mu) is the
+        normal closure of the a_i^(mu_i). Every element of N/D(mu) is some
+        a_1^(e_1)..a_h^(e_h) with 0 <= e_i < mu_i, so |N:D(mu)| <= prod mu_i
+        = |N:K_p|, and D(mu) = K_p. Its canonical induced sequence is the
+        a_i^(mu_i), which are already reduced, so mu is stable.
+    (b) K is the intersection of its prime parts, by (a): N/K is the
+        direct product of its Sylow subgroups.
+    (c) K separates y from [x]_phi only if some K_p does. With L_p = K_p
+        meet phi^-1(K_p), z x phi(z)^-1 modulo K_p depends only on z
+        modulo L_p. Each L_p is normal of p-power index, so by the Chinese
+        remainder theorem one z matches any choice of z_p modulo every L_p
+        at once. Hence y lies in [x]_phi K exactly when it lies in
+        [x]_phi K_p for every p.
+    (d) That prime part comes first. When K has composite order, K_p has
+        a smaller order, and its largest modulus is at most max(m), so an
+        order or modulus budget that admits K admits K_p.
+    So the first separating kernel of the full family, and whether any
+    kernel within a budget separates, are unchanged; a composite order is
+    skipped before any of its moduli vectors is built."""
     for order in range(2, max_order + 1):
+        if not _is_prime_power(order):
+            continue
         for vec in _ordered_factorizations(order, pres.h):
             seq = diagonal_kernel(pres, vec)
             if seq is not None:
@@ -202,7 +244,10 @@ class _OrbitLabels:
 
 def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
     """Congruence depths of many pairs (x, y) in one pass over the stable
-    diagonal kernels, in increasing order. Each pair is decided first: a
+    diagonal kernels of prime-power order, in increasing order. The depth
+    found is exact over every stable diagonal kernel: one of composite
+    order separates a pair only when one of its prime parts, scanned
+    earlier, does (congruence_kernels). Each pair is decided first: a
     twisted conjugate pair has no depth, is reported conjugate and is not
     scanned. A pending pair is separated at the first kernel where y's
     coset does not carry the label of x's orbit. Orbit labels are shared by

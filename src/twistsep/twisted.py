@@ -195,7 +195,7 @@ class TwistedWitness:
 @dataclass
 class NotTwistedConjugate:
     level: int
-    obstruction: tuple   # layer coordinates that escaped the psi image
+    obstruction: tuple   # escaped layer coordinates, reduced modulo the psi image
     image_rows: list
 
 
@@ -228,7 +228,7 @@ def is_twisted_conjugate(pres, phi, x, y):
         target = list(p.layer_coords(d, wt))
         v = lv.preimage(target)
         if v is None:
-            return NotTwistedConjugate(wt, tuple(target), lv.image.rows)
+            return NotTwistedConjugate(wt, lv.image.reduce(target), lv.image.rows)
         z = _realize_class(p, lv.seq.generators(), v)
         d = p.mult(p.mult(p.inv(z), d), phi_x.apply(z))
         witness = p.mult(witness, z)

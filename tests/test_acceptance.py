@@ -21,12 +21,12 @@ from twistsep.lattice import (Lattice, det, hnf, isolator_index, kernel_basis,
                               kernel_with_construction, mat_mul, mat_vec,
                               p_power_preimage, saturation, snf)
 from twistsep.malcev import (ball, identity_automorphism, root, word_length)
-from twistsep.quotients import (congruence_depth, congruence_kernels,
-                                congruence_quotient, separates,
+from twistsep.quotients import (congruence_depth, congruence_quotient, separates,
                                 verify_pullback_reduction)
 from twistsep.subgroups import power_subgroup
 from twistsep.twisted import (TwistedChain, TwistedWitness, blackburn_constants,
                               is_twisted_conjugate, psi, solve_power_twisted)
+from test_depth_scan import all_stable_kernels
 
 SEED = 20240214
 
@@ -208,9 +208,10 @@ def test_acceptance_6_heisenberg_depth():
         y = H3.mult(xp, H3.gen(2))
         res = congruence_depth(H3, ID_H3, xp, y, order_budget=150)
         assert res.separated and res.order == p ** 3, (p, res)
-        # exhaustive non-separation below p^3, re-walked independently
+        # exhaustive non-separation below p^3, re-walked independently over
+        # every stable kernel, composite orders included
         smaller = 0
-        for order, vec, kernel in congruence_kernels(H3, p ** 3 - 1):
+        for order, vec, kernel in all_stable_kernels(H3, p ** 3 - 1):
             from twistsep.quotients import FiniteQuotient
             q = FiniteQuotient(H3, kernel)
             assert not separates(q, ID_H3, xp, y), (p, vec)

@@ -1,5 +1,6 @@
 """Differential tests of the shared orbit-label depth scan against the
-sifting reference: plain separates over congruence_kernels, pair by pair."""
+sifting reference: plain separates over every stable diagonal kernel,
+composite orders included, pair by pair."""
 
 import random
 
@@ -11,6 +12,7 @@ from twistsep.groups import dim5, dim5_automorphism, heisenberg, heisenberg_auto
 from twistsep.malcev import identity_automorphism
 from twistsep.quotients import (FiniteQuotient, congruence_depth, congruence_kernels,
                                 depth_scan, separates)
+from twistsep.subgroups import diagonal_kernel
 from twistsep.twisted import TwistedWitness, is_twisted_conjugate
 
 SEED = 20240214
@@ -19,8 +21,30 @@ D5 = dim5()
 U4 = ut4()
 
 
+def all_stable_kernels(pres, max_order):
+    """Every stable diagonal kernel, composite orders included, as
+    (order, moduli, seq) in increasing order, ties by moduli vector: the
+    family whose prime-power members congruence_kernels yields."""
+    for order in range(2, max_order + 1):
+        for vec in quotients._ordered_factorizations(order, pres.h):
+            seq = diagonal_kernel(pres, vec)
+            if seq is not None:
+                yield order, vec, seq
+
+
+def prime_factors(n):
+    out, d = set(), 2
+    while n > 1:
+        if n % d:
+            d += 1
+        else:
+            out.add(d)
+            n //= d
+    return out
+
+
 def reference_depth(pres, phi, x, y, order_budget, modulus_budget=None):
-    for order, vec, kernel in congruence_kernels(pres, order_budget):
+    for order, vec, kernel in all_stable_kernels(pres, order_budget):
         if modulus_budget is not None and max(vec) > modulus_budget:
             continue
         if separates(FiniteQuotient(pres, kernel), phi, x, y):
@@ -71,6 +95,39 @@ def random_pairs(pres, count, bound, rng, central=False):
     return pairs
 
 
+def p_part(m, p):
+    q = 1
+    while m % p == 0:
+        m //= p
+        q *= p
+    return q
+
+
+KERNEL_FAMILIES = pytest.mark.parametrize("pres, max_order", [(H3, 400), (D5, 400), (U4, 24)],
+                                          ids=["H3", "dim5", "ut4"])
+
+
+@KERNEL_FAMILIES
+def test_composite_kernels_have_stable_prime_parts(pres, max_order):
+    composite = 0
+    for order, vec, _ in all_stable_kernels(pres, max_order):
+        primes = prime_factors(order)
+        if len(primes) > 1:
+            composite += 1
+            for p in primes:
+                mu = tuple(p_part(m, p) for m in vec)
+                assert diagonal_kernel(pres, mu) is not None, (vec, p)
+    assert composite > 10
+
+
+@KERNEL_FAMILIES
+def test_congruence_kernels_are_the_prime_power_members(pres, max_order):
+    family = list(all_stable_kernels(pres, max_order))
+    expected = [k for k in family if len(prime_factors(k[0])) == 1]
+    assert list(congruence_kernels(pres, max_order)) == expected
+    assert len(expected) < len(family)
+
+
 @pytest.mark.parametrize("pres, max_order, samples", [(H3, 300, 50), (D5, 200, 10)])
 def test_coordinatewise_canon_equals_sifting(pres, max_order, samples):
     rng = random.Random(SEED)
@@ -101,6 +158,25 @@ def test_depth_scan_matches_per_pair_reference(pres, phi, count, bound, budget, 
     expected = [reference_depth(pres, phi, x, y, budget) for x, y in pairs]
     assert scan_answers(pres, phi, pairs, budget) == expected
     assert any(expected)
+
+
+@pytest.mark.parametrize("pres, phi", [
+    (H3, identity_automorphism(H3)),
+    (H3, heisenberg_automorphism(H3, [[2, 1], [1, 1]])),
+    (D5, dim5_automorphism(D5)),
+], ids=["H3-id", "H3-A", "dim5"])
+def test_depth_scan_equals_full_family_reference(pres, phi):
+    # central translates (x^p, x^p c) of the weight-1 generators separate
+    # only at order p^3 or so, after many kernels of composite order
+    pairs = []
+    for p in (2, 3, 5):
+        for i in pres.layer_indices(1):
+            x = pres.pow(pres.gen(i), p)
+            pairs += [(x, pres.mult(x, pres.gen(t))) for t in pres.layer_indices(2)]
+    pairs = [(x, y) for x, y in pairs if not is_conjugate(pres, phi, x, y)]
+    expected = [reference_depth(pres, phi, x, y, 130) for x, y in pairs]
+    assert scan_answers(pres, phi, pairs, 130) == expected
+    assert max(order for order, _ in expected) >= 27
 
 
 def test_depth_scan_duplicates_and_modulus_budget():

@@ -2,11 +2,14 @@
 every module-level import is used by its module, no function body
 imports anything (no import cycle needs it), and every function, class
 and method is referenced somewhere in src/, tests/ or bench/ outside its
-own definition."""
+own definition, or overrides a method of a base class from outside the
+package, which that base class may call."""
 
 import ast
 from collections import Counter
+import importlib
 from pathlib import Path
+import types
 
 import pytest
 
@@ -82,21 +85,71 @@ def _definitions(tree):
     yield from walk(tree, "", False)
 
 
+def _overrides_foreign_base(module, qualname):
+    """Whether qualname names a method that overrides an attribute of a base
+    class from outside the package, which that base class may call."""
+    owner_name, _, name = qualname.rpartition(".")
+    owner = module
+    for part in owner_name.split("."):
+        owner = getattr(owner, part, None)
+    return isinstance(owner, type) and any(
+        name in vars(base) for base in owner.__mro__[1:]
+        if base.__module__.split(".")[0] != PACKAGE.name)
+
+
+def _unreferenced(module, tree, everywhere):
+    """The qualified names defined in tree that no reference in everywhere
+    reaches from outside their own definition."""
+    dead = []
+    for qualname, node, method in _definitions(tree):
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if method and _overrides_foreign_base(module, qualname):
+            continue
+        # a method is reached through an attribute or its qualified
+        # name; any other definition also through its bare name
+        wanted = {(name, "attr"), (qualname, "string")}
+        if not method:
+            wanted |= {(name, "name"), (name, "string")}
+        outside = everywhere - Counter(_references(node))
+        if not wanted & outside.keys():
+            dead.append(qualname)
+    return dead
+
+
 def test_every_definition_is_referenced():
     trees = {path: _tree(path) for path in SOURCES}
     everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
     dead = []
     for path in MODULES:
-        for qualname, node, method in _definitions(trees[path]):
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            # a method is reached through an attribute or its qualified
-            # name; any other definition also through its bare name
-            wanted = {(name, "attr"), (qualname, "string")}
-            if not method:
-                wanted |= {(name, "name"), (name, "string")}
-            outside = everywhere - Counter(_references(node))
-            if not wanted & outside.keys():
-                dead.append(f"{path.name}: {qualname}")
+        module = importlib.import_module(
+            PACKAGE.name if path.stem == "__init__" else f"{PACKAGE.name}.{path.stem}")
+        dead += [f"{path.name}: {qualname}"
+                 for qualname in _unreferenced(module, trees[path], everywhere)]
     assert dead == []
+
+
+OVERRIDE_SAMPLE = """
+import argparse
+
+
+class Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise SystemExit(1)
+
+    def unused(self):
+        return 1
+
+
+parse = Parser().parse_args
+"""
+
+
+def test_only_foreign_overrides_are_exempt():
+    # argparse calls Parser.error, so it counts as referenced; nothing
+    # calls Parser.unused
+    module = types.ModuleType("sample")
+    exec(compile(OVERRIDE_SAMPLE, "sample", "exec"), module.__dict__)
+    tree = ast.parse(OVERRIDE_SAMPLE)
+    assert _unreferenced(module, tree, Counter(_references(tree))) == ["Parser.unused"]

@@ -105,6 +105,22 @@ def test_saturation_idempotent_random():
             assert S.contains(row)
 
 
+def test_reduce_is_canonical_modulo_the_lattice():
+    rng = random.Random(SEED + 5)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        L = Lattice.from_rows(n, random_matrix(rng, rng.randint(0, n), n, 6))
+        v = [rng.randint(-30, 30) for _ in range(n)]
+        shifted = list(v)
+        for row in L.rows:
+            c = rng.randint(-5, 5)
+            shifted = [a + c * b for a, b in zip(shifted, row)]
+        r = L.reduce(v)
+        assert L.reduce(shifted) == r == L.reduce(r)
+        assert L.coordinates([a - b for a, b in zip(v, r)]) is not None
+        assert L.contains(v) == (L.coordinates(v) is not None) == (not any(r))
+
+
 def test_image_membership():
     assert solve([[2, 0], [0, 3]], [4, 3]) == [2, 1]
     assert solve([[2, 0], [0, 2]], [1, 0]) is None

@@ -15,6 +15,7 @@ from twistsep.quotients import (CentralQuotientError, FiniteQuotient,
                                 verify_pullback_reduction)
 from twistsep.subgroups import power_subgroup
 from twistsep.twisted import center
+from test_depth_scan import all_stable_kernels
 
 SEED = 20240214
 H3 = heisenberg()
@@ -217,7 +218,7 @@ def test_separation_implies_decision_nonconjugate():
             x = tuple(rng.randint(-3, 3) for _ in range(3))
             y = tuple(rng.randint(-3, 3) for _ in range(3))
             separated = False
-            for order, vec, kernel in congruence_kernels(H3, 27):
+            for order, vec, kernel in all_stable_kernels(H3, 27):
                 if separates(FiniteQuotient(H3, kernel), phi, x, y):
                     separated = True
                     break

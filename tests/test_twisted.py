@@ -471,6 +471,33 @@ def test_deepen_into_congruence_helper():
     assert _deepen_into_congruence(H3, (1, 1, 0), zseq, 2) is None
 
 
+def test_obstruction_is_reduced_modulo_the_image():
+    # one verdict carries one vector, whichever preimages the decision took:
+    # on ut4 with the flip at level 3 (image 2Z) the raw coordinates can be
+    # any odd number, such as 9, 21 or -83, and reduce to 1
+    U = ut4()
+    flip = ut_flip(U)
+    rng = random.Random(SEED + 23)
+    flip_level3 = 0
+    for pres, phi in ((U, flip), (U, ut_sign(U)), (U, identity_automorphism(U)),
+                      (H3, ID_H3), (H3, CASE1), (D5, PHI5)):
+        # shift in gamma_2, or in the deepest layer only
+        for k in range(120):
+            x, z = (tuple(rng.randint(-2, 2) for _ in range(pres.h)) for _ in range(2))
+            lowest = 2 + k % 2 * (pres.nilpotency_class - 2)
+            shift = [rng.randint(-3, 3) if w >= lowest else 0 for w in pres.weights]
+            y = pres.mult(pres.mult(pres.mult(z, x), pres.inv(phi.apply(z))), tuple(shift))
+            res = is_twisted_conjugate(pres, phi, x, y)
+            if isinstance(res, NotTwistedConjugate):
+                image = Lattice(len(res.obstruction), res.image_rows)
+                assert any(res.obstruction)
+                assert image.reduce(res.obstruction) == res.obstruction
+                if phi is flip and res.level == 3 and res.image_rows == [[2]]:
+                    assert res.obstruction == (1,)
+                    flip_level3 += 1
+    assert flip_level3 >= 5
+
+
 def test_decision_vs_brute_force_dim5():
     rng = random.Random(SEED + 14)
     S = D5.standard_gens()
