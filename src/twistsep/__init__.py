@@ -17,7 +17,7 @@ from .twisted import (TwistedChain, TwistedWitness, blackburn_constants,
                       twisted_chain, twisted_determinant, twisted_subgroup)
 from .quotients import (FiniteQuotient, congruence_depth, congruence_quotient,
                         depth_scan, full_power_subgroup, induced_automorphism,
-                        one_dim_central_quotient, separate_central, separates,
+                        one_dim_central_quotient, separates,
                         verify_pullback_reduction)
 from .extensions import (FiniteExtension, decompose_twisted_class,
                          farb_depth_union, is_conjugate_virtual)

@@ -219,8 +219,18 @@ def farb_depth_union(ext, phi, x, y):
     the coset action and phi until stable, giving a normal, phi-invariant
     kernel. An image has the same index, so only a round in which some
     automorphism moves a generator out of the kernel builds images and
-    intersects. The separation is re-verified by orbit enumeration in the
-    finite quotient of G.
+    intersects them through a Schreier transversal. The separation is
+    re-verified by orbit enumeration in the finite quotient of G.
+
+    The scanned kernels are intersected in closed form. For stable
+    moduli m the kernel K(m) is exactly D(m) = {g : m_i | g_i for all i}:
+    its canonical sequence is the a_i^(m_i), and a member
+    s_1^(k_1)..s_h^(k_h) is a_1^(k_1 m_1)..a_h^(k_h m_h), already in
+    Mal'cev normal form. So K(m) meet K(m') = D(l) with l = lcm(m, m')
+    coordinatewise. That set is normal, as an intersection of normal
+    subgroups, and generated by the a_i^(l_i), which are already sifted,
+    so l is stable; the canonical induced sequence is unique, so
+    diagonal_kernel(l) is the sequence a Schreier transversal would give.
 
     Returns a dict with the combined quotient order, per-part orders, and
     the product bound the combined order is compared against.
@@ -239,9 +249,10 @@ def farb_depth_union(ext, phi, x, y):
         raise BudgetExceededError("no separating congruence quotient for a part",
                                   budget="order budget", limit=UNION_ORDER_BUDGET)
     part_orders = [ext.r if res is None else res.order for res in parts]
-    kernels = [diagonal_kernel(p, res.moduli) for res in scanned] \
-        or [diagonal_kernel(p, (1,) * p.h)]
-    combined = kernels[0] if len(kernels) == 1 else intersect_finite_index(p, kernels)
+    combined = diagonal_kernel(p, [math.lcm(*ms) for ms in
+                                   zip((1,) * p.h, *(res.moduli for res in scanned))])
+    if combined is None:
+        raise ValidationError("the lcm of stable moduli is not stable")
     # actions[0] is the identity (FiniteExtension._check)
     autos = ext.actions[1:] + [phi.restriction]
     for _ in range(STABILIZE_ROUNDS):

@@ -466,7 +466,8 @@ def inner_automorphism(p, x):
 
 def compose_with_inner(p, phi, x):
     """Inn(x) o phi, the twist entering nearly-twisted-conjugacy reductions."""
-    return GroupHom(p, p, [p.conjugate(phi.apply(p.gen(i)), x) for i in range(p.h)])
+    x_inv = p.inv(x)
+    return GroupHom(p, p, [p.mult(p.mult(x, a), x_inv) for a in phi.images])
 
 
 def verify_hom(f, check_automorphism=False):

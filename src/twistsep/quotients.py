@@ -1,6 +1,6 @@
 """Finite congruence quotients, induced automorphisms, twisted classes by
 orbit enumeration, depth scanning, the central pullback reduction, and
-central-subgroup separation.
+quotients by central subgroups.
 
 Depth is exact over every stable diagonal kernel, and the scans find it by
 visiting only the kernels of prime-power order, which congruence_kernels
@@ -102,9 +102,8 @@ def projected_class(q, phi, x):
     the kernel to be phi-invariant."""
     p = q.pres
     moves = []
-    for i in range(p.h):
+    for i, fa in enumerate(phi.images):
         a = p.gen(i)
-        fa = phi.apply(a)
         moves.append((q.canon(a), q.canon(p.inv(fa))))
         moves.append((q.canon(p.inv(a)), q.canon(fa)))
     walk = breadth_first(q.canon(x), moves, lambda e, uv: q.mult(q.mult(uv[0], e), uv[1]))
@@ -116,26 +115,26 @@ def separates(q, phi, x, y):
     return q.canon(y) not in projected_class(q, phi, x)
 
 
-def _ordered_factorizations(n, h):
-    """All h-tuples of positive integers with the given product, in
-    lexicographic order."""
-    if h == 1:
-        yield (n,)
-        return
-    d = 1
-    while d <= n:
-        if n % d == 0:
-            for rest in _ordered_factorizations(n // d, h - 1):
-                yield (d,) + rest
-        d += 1
-
-
-def _is_prime_power(n):
-    """Whether n > 1 is a power of a single prime."""
+def _prime_power(n):
+    """(p, k) with n = p^k for a prime p, or None when n is not a prime
+    power."""
     p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    k = 0
     while n % p == 0:
         n //= p
-    return n == 1
+        k += 1
+    return (p, k) if n == 1 else None
+
+
+def _compositions(k, h):
+    """All h-tuples of non-negative integers with sum k, in lexicographic
+    order."""
+    if h == 1:
+        yield (k,)
+        return
+    for e in range(k + 1):
+        for rest in _compositions(k - e, h - 1):
+            yield (e,) + rest
 
 
 def congruence_kernels(pres, max_order):
@@ -169,11 +168,16 @@ def congruence_kernels(pres, max_order):
         order or modulus budget that admits K admits K_p.
     So the first separating kernel of the full family, and whether any
     kernel within a budget separates, are unchanged; a composite order is
-    skipped before any of its moduli vectors is built."""
+    skipped before any of its moduli vectors is built. The moduli vectors
+    of order p^k are the p^e for the compositions e of k into h parts,
+    whose lexicographic order is that of the vectors."""
     for order in range(2, max_order + 1):
-        if not _is_prime_power(order):
+        prime_power = _prime_power(order)
+        if prime_power is None:
             continue
-        for vec in _ordered_factorizations(order, pres.h):
+        p, k = prime_power
+        for exponents in _compositions(k, pres.h):
+            vec = tuple(p ** e for e in exponents)
             seq = diagonal_kernel(pres, vec)
             if seq is not None:
                 yield order, vec, seq
@@ -214,8 +218,8 @@ class _OrbitLabels:
     def __init__(self, pres, phi, canon):
         self.canon = canon
         self.mult = pres.mult
-        self.moves = [(canon(pres.gen(i)), canon(pres.inv(phi.apply(pres.gen(i)))))
-                      for i in range(pres.h)]
+        self.moves = [(canon(pres.gen(i)), canon(pres.inv(fa)))
+                      for i, fa in enumerate(phi.images)]
         self.labels = {}
 
     def search(self, g):
@@ -460,19 +464,17 @@ def central_quotient(pres, c_entries):
     return quotient, hom
 
 
-def one_dim_central_quotient(pres, z, extra_kill=None):
+def one_dim_central_quotient(pres, z):
     """A torsion-free quotient whose center is generated by the image of
     the primitive central element z. Returns (quotient, hom, steps).
 
     Iterates: complement the direction of z inside the center, quotient,
-    recompute. extra_kill lists central elements the first complement must
-    contain (used by separate_central to keep a chosen splitting).
+    recompute.
     """
     current = pres
     hom = GroupHom(pres, pres, [pres.gen(i) for i in range(pres.h)])
     z_cur = pres.check_element(z)
     steps = 0
-    extra = [pres.check_element(g) for g in (extra_kill or [])]
     for _ in range(CENTRAL_QUOTIENT_STEPS):
         zc, zlat = _center_lattice(current)
         coords = zlat.coordinates(z_cur)
@@ -483,24 +485,12 @@ def one_dim_central_quotient(pres, z, extra_kill=None):
             raise CentralQuotientError("z is not primitive in the center")
         if zlat.rank == 1:
             return current, hom, steps
-        # complement of z inside the center lattice, over center coordinates
-        k = zlat.rank
-        rows = [list(coords)]
-        for e in extra:
-            ec = zlat.coordinates(e)
-            if ec is None:
-                raise CentralQuotientError("extra kill element is not central")
-            rows.append(list(ec))
-        L = lin.Lattice.from_rows(k, rows)
-        if lin.isolator_index(L) != 1 or L.rank != len(rows):
-            raise CentralQuotientError("kill set is not a saturated independent family")
-        _, _, V = lin.snf(rows)
-        vinv = lin.inverse_unimodular(V)
-        comp_center_coords = vinv[len(rows):]
-        kill_center_coords = [list(zlat.coordinates(e)) for e in extra] + comp_center_coords
+        # complement of the primitive z inside the center lattice, over
+        # center coordinates
+        _, _, V = lin.snf([list(coords)])
         kill_elements = []
         zc_gens = zc.generators()
-        for cc in kill_center_coords:
+        for cc in lin.inverse_unimodular(V)[1:]:
             el = current.identity
             for gen, e in zip(zc_gens, cc):
                 if e:
@@ -511,109 +501,5 @@ def one_dim_central_quotient(pres, z, extra_kill=None):
         hom = proj.compose(hom)
         z_cur = proj.apply(z_cur)
         current = quotient
-        extra = []
         steps += 1
     raise CentralQuotientError("central quotient iteration did not stabilize")
-
-
-def separate_central(pres, h_gens, x, order_budget=DEFAULT_ORDER_BUDGET):
-    """Separate x from a central subgroup H in a verified finite quotient.
-
-    Two branches: x inside the isolator of H reduces to a one dimensional
-    central quotient plus a cyclic prime-power separation expanded to a
-    congruence quotient; x outside the isolator is separated from the
-    identity in the torsion-free quotient by the isolator.
-
-    Returns (description dict, order).
-    """
-    p = pres
-    x = p.check_element(x)
-    zc, zlat = _center_lattice(p)
-    h_rows = []
-    for g in h_gens:
-        g = p.check_element(g)
-        if zlat.coordinates(g) is None:
-            raise ValidationError("H is not a central subgroup")
-        h_rows.append(list(g))
-    H = lin.Lattice.from_rows(p.h, h_rows)
-    if H.contains(x):
-        raise PreconditionError("x lies in H", reason="membership")
-    Hsat = lin.saturation(H)
-
-    if Hsat.contains(x):
-        # work inside sqrt(H) with an SNF-adapted basis
-        B = [Hsat.coordinates(row) for row in H.rows]
-        S, _, V = lin.snf(B)
-        dvals = [S[i][i] for i in range(len(B))]
-        # rows f_i of V^-1 form a basis of sqrt(H) with H = <d_i f_i>
-        f_rows = lin.inverse_unimodular(V)
-        xcoords = Hsat.coordinates(x)
-        x_f = lin.mat_vec(lin.transpose(V), xcoords)
-        pick = None
-        for i, d in enumerate(dvals):
-            if x_f[i] % d != 0:
-                pick = i
-                break
-        if pick is None:
-            raise ValidationError("x escaped H but matched all invariant factors")
-        def realize(coords_in_sat):
-            amb = [0] * p.h
-            for c, row in zip(coords_in_sat, Hsat.rows):
-                for t, e in enumerate(row):
-                    amb[t] += c * e
-            return tuple(amb)
-        z0 = realize(f_rows[pick])
-        others = [realize(f_rows[i]) for i in range(len(dvals)) if i != pick]
-        quotient, hom, _ = one_dim_central_quotient(p, z0, extra_kill=others)
-        d_i = dvals[pick]
-        e_i = x_f[pick]
-        # prime power p0^k dividing d_i that e_i misses
-        p0, kk = None, None
-        d = 2
-        dd = d_i
-        while dd > 1:
-            if dd % d == 0:
-                v = 0
-                while dd % d == 0:
-                    dd //= d
-                    v += 1
-                if e_i % d ** v != 0:
-                    p0, kk = d, v
-                    # lower k while separation still holds
-                    while kk > 1 and e_i % d ** (kk - 1) != 0:
-                        kk -= 1
-                    break
-            d += 1
-        if p0 is None:
-            raise ValidationError("no separating prime power found")
-        q = congruence_quotient(quotient, p0 ** kk, order_budget)
-        himg = [hom.apply(g) for g in h_gens]
-        hset = q.subgroup_image(himg)
-        if q.canon(hom.apply(x)) in hset:
-            raise ValidationError("constructed quotient failed to separate")
-        desc = {"branch": "isolator", "prime": p0, "exponent": kk,
-                "quotient_hirsch": quotient.h, "order": q.order}
-        return desc, q.order
-
-    # x outside sqrt(H): quotient by the isolator, then find the smallest
-    # congruence level where the image of x survives
-    sat_seq = InducedSequence.from_generators(
-        p, [tuple(r) for r in Hsat.rows]) if Hsat.rows else None
-    if sat_seq is not None and Hsat.rows:
-        quotient, hom = central_quotient(p, sat_seq.generators())
-    else:
-        quotient, hom = p, GroupHom(p, p, [p.gen(i) for i in range(p.h)])
-    xq = hom.apply(x)
-    m = 2
-    while m ** quotient.h <= order_budget:
-        if any(e % m != 0 for e in xq):
-            q = congruence_quotient(quotient, m, order_budget)
-            himg = [hom.apply(g) for g in h_gens]
-            hset = q.subgroup_image(himg)
-            if q.canon(xq) not in hset:
-                desc = {"branch": "outside", "level": m,
-                        "quotient_hirsch": quotient.h, "order": q.order}
-                return desc, q.order
-        m += 1
-    raise BudgetExceededError("no separating congruence quotient within budget",
-                              budget="order budget", limit=order_budget)

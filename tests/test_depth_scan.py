@@ -21,12 +21,24 @@ D5 = dim5()
 U4 = ut4()
 
 
+def ordered_factorizations(n, h):
+    """All h-tuples of positive integers with product n, in lexicographic
+    order, by trying every divisor at each place."""
+    if h == 1:
+        yield (n,)
+        return
+    for d in range(1, n + 1):
+        if n % d == 0:
+            for rest in ordered_factorizations(n // d, h - 1):
+                yield (d,) + rest
+
+
 def all_stable_kernels(pres, max_order):
     """Every stable diagonal kernel, composite orders included, as
     (order, moduli, seq) in increasing order, ties by moduli vector: the
     family whose prime-power members congruence_kernels yields."""
     for order in range(2, max_order + 1):
-        for vec in quotients._ordered_factorizations(order, pres.h):
+        for vec in ordered_factorizations(order, pres.h):
             seq = diagonal_kernel(pres, vec)
             if seq is not None:
                 yield order, vec, seq
@@ -126,6 +138,22 @@ def test_congruence_kernels_are_the_prime_power_members(pres, max_order):
     expected = [k for k in family if len(prime_factors(k[0])) == 1]
     assert list(congruence_kernels(pres, max_order)) == expected
     assert len(expected) < len(family)
+
+
+@pytest.mark.parametrize("h, max_order", [(3, 2048), (5, 1024), (6, 512)])
+def test_prime_power_moduli_are_the_ordered_factorizations(h, max_order):
+    prime_powers = 0
+    for order in range(2, max_order + 1):
+        prime_power = quotients._prime_power(order)
+        assert (prime_power is not None) == (len(prime_factors(order)) == 1), order
+        if prime_power is None:
+            continue
+        p, k = prime_power
+        assert p ** k == order
+        vectors = [tuple(p ** e for e in c) for c in quotients._compositions(k, h)]
+        assert vectors == list(ordered_factorizations(order, h)), order
+        prime_powers += 1
+    assert prime_powers > 90
 
 
 @pytest.mark.parametrize("pres, max_order, samples", [(H3, 300, 50), (D5, 200, 10)])

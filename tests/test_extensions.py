@@ -170,10 +170,10 @@ def test_farb_depth_union_heisenberg():
 
 
 def test_farb_depth_union_is_one_pass(monkeypatch):
-    # the part scans decide conjugacy, the class is decomposed once, and
-    # the intersection of the two part kernels is already normal and
-    # phi-invariant, so stabilisation builds no image and intersects
-    # nothing more
+    # the part scans decide conjugacy, the class is decomposed once, the
+    # two part kernels are intersected in closed form (the lcm of their
+    # moduli), and that intersection is already normal and phi-invariant,
+    # so stabilisation builds no image and no Schreier transversal
     calls = {"virtual": 0, "decompose": 0, "intersect": 0, "image": 0}
 
     def counted(name, fn):
@@ -197,7 +197,7 @@ def test_farb_depth_union_is_one_pass(monkeypatch):
     assert all(E.in_kernel(E.mult(y, E.inv(x_i)))
                for _, x_i in decompose_twisted_class(E, phi, x))
     res = farb_depth_union(E, phi, x, y)
-    assert calls == {"virtual": 0, "decompose": 1, "intersect": 1, "image": 0}
+    assert calls == {"virtual": 0, "decompose": 1, "intersect": 0, "image": 0}
     assert len(res["part_orders"]) == 2 and res["moduli"] is not None
 
 

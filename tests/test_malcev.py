@@ -10,9 +10,10 @@ from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
                              heisenberg_automorphism, ut4)
 from twistsep.malcev import (GroupHom, MalcevPresentation, automorphism_norm,
                              ball, ball_with_distances, commutator,
-                             identity_automorphism, inner_automorphism, inverse,
-                             multiply, power, root, verify_hom,
-                             verify_presentation, word_length, word_length_upper)
+                             compose_with_inner, identity_automorphism,
+                             inner_automorphism, inverse, multiply, power, root,
+                             verify_hom, verify_presentation, word_length,
+                             word_length_upper)
 from twistsep.quotients import congruence_quotient
 from twistsep.subgroups import InducedSequence, power_subgroup, schreier_kernel
 from twistsep.twisted import _deepen_into_congruence
@@ -288,6 +289,25 @@ def test_hom_layer_matrices():
     assert phi.layer_matrix(2) == [[1]]
     swap = heisenberg_automorphism(H3, [[0, 1], [1, 0]])
     assert swap.layer_matrix(2) == [[-1]]
+
+
+@pytest.mark.parametrize("pres, outer", [
+    (H3, heisenberg_automorphism(H3, [[2, 1], [1, 1]], e=3, f=-1)),
+    (D5, dim5_automorphism(D5)),
+    (U4, None),
+], ids=["H3", "dim5", "ut4"])
+def test_compose_with_inner_is_inner_after_phi(pres, outer):
+    rng = random.Random(SEED)
+
+    def el():
+        return tuple(rng.randint(-3, 3) for _ in range(pres.h))
+
+    phis = [identity_automorphism(pres), inner_automorphism(pres, el())]
+    phis += [outer] if outer is not None else []
+    for phi in phis:
+        for _ in range(10):
+            x = el()
+            assert compose_with_inner(pres, phi, x) == inner_automorphism(pres, x).compose(phi)
 
 
 def test_balls():

@@ -11,7 +11,7 @@ from twistsep.quotients import (CentralQuotientError, FiniteQuotient,
                                 congruence_kernels, congruence_quotient,
                                 full_power_subgroup, induced_automorphism,
                                 one_dim_central_quotient, projected_class,
-                                separate_central, separates,
+                                separates,
                                 verify_pullback_reduction)
 from twistsep.subgroups import power_subgroup
 from twistsep.twisted import center
@@ -186,25 +186,6 @@ def test_one_dim_central_quotients():
         assert hom.apply(direction) != M.identity
     with pytest.raises(CentralQuotientError):
         one_dim_central_quotient(H3, (0, 0, 2))   # not primitive
-
-
-def test_separate_central_examples():
-    Z = free_abelian(1)
-    desc, order = separate_central(Z, [(6,)], (1,))
-    assert order <= 6 and desc["branch"] == "isolator"
-    desc, order = separate_central(H3, [(0, 0, 2)], (0, 0, 1))
-    assert order == 8
-    desc, order = separate_central(H3, [(0, 0, 1)], (1, 0, 0))
-    assert desc["branch"] == "outside" and order == 4
-    with pytest.raises(PreconditionError):
-        separate_central(H3, [(0, 0, 1)], (0, 0, 3))
-
-
-def test_separate_central_mixed_factors():
-    # H = <z^12>, x = z^4: the 3-part separates (4 is 2-adically deep)
-    desc, order = separate_central(H3, [(0, 0, 12)], (0, 0, 4))
-    assert desc["branch"] == "isolator"
-    assert desc["prime"] == 3
 
 
 def test_separation_implies_decision_nonconjugate():

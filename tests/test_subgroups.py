@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from twistsep.malcev import multiply, power
 from twistsep.subgroups import (InducedSequence, diagonal_kernel,
                                 enumerate_finite_index_subgroups,
                                 intersect_finite_index, power_subgroup)
+from test_depth_scan import all_stable_kernels
 from test_malcev import U5
 
 SEED = 20240214
@@ -141,6 +144,25 @@ def test_schreier_intersection():
     # intersecting with itself is idempotent
     again = intersect_finite_index(H3, [L2, L2])
     assert again == L2
+
+
+@pytest.mark.parametrize("pres, max_order, max_lcm_order",
+                         [(H3, 12, 36), (D5, 8, 24), (ut4(), 6, 24)],
+                         ids=["H3", "dim5", "ut4"])
+def test_stable_kernels_intersect_at_the_lcm_of_their_moduli(pres, max_order, max_lcm_order):
+    # every pair of stable kernels, composite orders included: the
+    # closed form farb_depth_union uses equals the Schreier intersection
+    family = list(all_stable_kernels(pres, max_order))
+    pairs = 0
+    for (_, m1, k1), (_, m2, k2) in itertools.combinations(family, 2):
+        lcm = tuple(map(math.lcm, m1, m2))
+        if math.prod(lcm) > max_lcm_order:
+            continue
+        seq = diagonal_kernel(pres, lcm)
+        assert seq is not None, (m1, m2)
+        assert seq.entries == intersect_finite_index(pres, [k1, k2]).entries, (m1, m2)
+        pairs += 1
+    assert pairs > 200
 
 
 def test_congruence_subgroup_lemma_at_small_index():
