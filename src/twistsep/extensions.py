@@ -222,15 +222,12 @@ def farb_depth_union(ext, phi, x, y):
     intersects them through a Schreier transversal. The separation is
     re-verified by orbit enumeration in the finite quotient of G.
 
-    The scanned kernels are intersected in closed form. For stable
-    moduli m the kernel K(m) is exactly D(m) = {g : m_i | g_i for all i}:
-    its canonical sequence is the a_i^(m_i), and a member
-    s_1^(k_1)..s_h^(k_h) is a_1^(k_1 m_1)..a_h^(k_h m_h), already in
-    Mal'cev normal form. So K(m) meet K(m') = D(l) with l = lcm(m, m')
-    coordinatewise. That set is normal, as an intersection of normal
-    subgroups, and generated by the a_i^(l_i), which are already sifted,
-    so l is stable; the canonical induced sequence is unique, so
-    diagonal_kernel(l) is the sequence a Schreier transversal would give.
+    The scanned kernels are intersected in closed form. A stable kernel
+    K(m) is D(m) = {g : m_i | g_i for all i} (diagonal_kernel has the
+    proof), so K(m) meet K(m') = D(l) with l = lcm(m, m') coordinatewise.
+    D(l) is normal and holds every conjugate of an a_i^(l_i), so l passes
+    diagonal_kernel's test and is stable; the canonical induced sequence
+    is unique, so diagonal_kernel(l) is what a Schreier transversal gives.
 
     Returns a dict with the combined quotient order, per-part orders, and
     the product bound the combined order is compared against.

@@ -1,7 +1,7 @@
 """Built-in presentations used throughout the tests, experiments and docs."""
 
 from .errors import ValidationError
-from .malcev import MalcevPresentation, GroupHom
+from .malcev import MalcevPresentation, GroupHom, check_hirsch_length
 
 
 def heisenberg():
@@ -28,6 +28,7 @@ def dim5():
 
 
 def free_abelian(k):
+    check_hirsch_length(k)  # before any per-generator data is built
     return MalcevPresentation(
         basis=[f"e{i+1}" for i in range(k)],
         weights=[1] * k,

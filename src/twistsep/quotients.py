@@ -23,7 +23,7 @@ import operator
 from .errors import BudgetExceededError, PreconditionError, ValidationError
 from . import lattice as lin
 from .malcev import (MalcevPresentation, GroupHom, breadth_first, compose_with_inner,
-                     verify_presentation)
+                     verify_hom, verify_presentation)
 from .subgroups import InducedSequence, diagonal_kernel, power_subgroup
 from .twisted import (TwistedWitness, blackburn_constants, center,
                       is_twisted_conjugate, twisted_chain, _vp)
@@ -78,22 +78,16 @@ def congruence_quotient(pres, m, order_budget=None):
 
 def induced_automorphism(q, phi):
     """The automorphism induced on the quotient, as a callable on
-    canonical forms. Requires the kernel to be phi-invariant; the induced
-    map is verified to be a bijection."""
+    canonical forms. phi must be an automorphism (verify_hom) and keep the
+    kernel K: phi(K) has K's index, so phi(K) <= K means phi(K) = K, and
+    the induced map is a bijection."""
+    problems = verify_hom(phi, check_automorphism=True)
+    if problems:
+        raise ValidationError("; ".join(problems))
     for g in q.kernel.generators():
         if not q.kernel.contains(phi.apply(g)):
             raise ValidationError("kernel is not invariant under the automorphism")
-
-    def bar(el):
-        return q.canon(phi.apply(el))
-
-    if q.order <= 20000:
-        seen = set()
-        for el in q.elements():
-            seen.add(bar(el))
-        if len(seen) != q.order:
-            raise ValidationError("induced map is not a bijection")
-    return bar
+    return lambda el: q.canon(phi.apply(el))
 
 
 def projected_class(q, phi, x):
@@ -150,11 +144,11 @@ def congruence_kernels(pres, max_order):
     (a) Each prime part is itself a stable kernel. For a prime p let mu be
         the p-parts of m, and K_p >= K the kernel of N -> N/K -> (Sylow p
         of N/K). The image of a_i there has p-power order dividing m_i, so
-        a_i^(mu_i) lies in K_p. Hence K <= D(mu) <= K_p, where D(mu) is the
-        normal closure of the a_i^(mu_i). Every element of N/D(mu) is some
-        a_1^(e_1)..a_h^(e_h) with 0 <= e_i < mu_i, so |N:D(mu)| <= prod mu_i
-        = |N:K_p|, and D(mu) = K_p. Its canonical induced sequence is the
-        a_i^(mu_i), which are already reduced, so mu is stable.
+        a_i^(mu_i) lies in K_p, and K <= C <= K_p for C the normal closure
+        of the a_i^(mu_i). N/C is covered by the a_1^(e_1)..a_h^(e_h) with
+        0 <= e_i < mu_i, so |N:C| <= prod mu_i = |N:K_p| and C = K_p. Its
+        leads divide the mu_i and multiply to the index, so C = D(mu) as in
+        diagonal_kernel's proof, and mu is stable.
     (b) K is the intersection of its prime parts, by (a): N/K is the
         direct product of its Sylow subgroups.
     (c) K separates y from [x]_phi only if some K_p does. With L_p = K_p
@@ -190,16 +184,6 @@ class DepthResult:
     moduli: tuple = None
     budget_exhausted: bool = False
     conjugate: bool = False
-
-
-def _coset_canon(pres, kernel, moduli):
-    """Canonical coset forms modulo a stable diagonal kernel. In class <= 2
-    sifting reduces every coordinate mod its modulus: moving a_i^(k m_i)
-    left past a_j^(e) adds the correction k m_i e [a_i, a_j], which
-    stability makes divisible by the deeper moduli. Deeper classes sift."""
-    if pres.nilpotency_class <= 2:
-        return lambda g: tuple(map(operator.mod, g, moduli))
-    return kernel.coset_rep
 
 
 class _OrbitLabels:
@@ -270,7 +254,9 @@ def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
     for order, vec, kernel in congruence_kernels(pres, order_budget):
         if modulus_budget is not None and max(vec) > modulus_budget:
             continue
-        labels = _OrbitLabels(pres, phi, _coset_canon(pres, kernel, vec))
+        # g mod vec is the coset form of a stable diagonal kernel
+        # (diagonal_kernel has the proof)
+        labels = _OrbitLabels(pres, phi, lambda g: tuple(map(operator.mod, g, vec)))
         quotient, classes = FiniteQuotient(pres, kernel), {}
         still = []
         for k in pending:

@@ -164,12 +164,9 @@ class InducedSequence:
 
 
 def power_subgroup(pres, m):
-    """The congruence kernel of level m: the subgroup generated by the
-    m-th powers of the basis generators, which is the uniform diagonal
-    kernel diagonal_kernel(pres, (m,) * h). Its stability (checked there,
-    in closed form for class <= 2 and by the closure otherwise) makes it
-    normal of index m^h, with every coordinate of a member divisible by m.
-    """
+    """The congruence kernel of level m, diagonal_kernel(pres, (m,) * h):
+    generated by the m-th powers of the basis generators, normal of index
+    m^h, its members the g with m | g_i for all i (diagonal_kernel)."""
     if m < 1:
         raise ValidationError("power subgroup level must be >= 1")
     seq = diagonal_kernel(pres, (m,) * pres.h)
@@ -180,14 +177,32 @@ def power_subgroup(pres, m):
 
 
 def diagonal_kernel(pres, moduli):
-    """The subgroup generated by a_i^(m_i), when it is stable: the normal
-    closure must keep the diagonal induced sequence. Returns the sequence
-    or None when the vector is not stable (the closure escapes).
+    """The subgroup K(m) generated by the a_i^(m_i) when m is stable, that
+    is when its normal closure keeps the diagonal induced sequence with
+    leads m_i; otherwise None. Cached per presentation.
 
-    For class <= 2 stability has a closed form (each relation vector v of
-    [a_j, a_i] must satisfy m_t | m_i v_t and m_t | m_j v_t), checked
-    directly; deeper groups run the generic closure. Cached per
-    presentation."""
+    One test in every class: m is stable exactly when, for every relation
+    pair (j, i), a_j a_i^(m_i) a_j^-1 and a_i a_j^(m_j) a_i^-1 lie in
+    D(m) = {g : m_k | g_k for all k}. Let N_>=i = <a_i..a_h>; a relation
+    of a_i has support of weight > w_i, so [N, N_>=i] <= N_>i.
+    (=>) A stable K(m) is D(m): a member s_1^(k_1)..s_h^(k_h), s_i its
+        entries, is a_1^(k_1 m_1)..a_h^(k_h m_h), already in normal form.
+        It is normal, so it holds every conjugate.
+    (<=) Downward induction on i: H_i = <a_i^(m_i)..a_h^(m_h)> is normal
+        and equals D(m) meet N_>=i. For a generator a_b without a relation
+        to a_i, c = a_b a_i^(m_i) a_b^-1 is a_i^(m_i). Otherwise c lies in
+        N_>=i with c_i = m_i, and a_i^(-m_i) c = (0,..,0,c_(i+1),..,c_h)
+        lies in D(m) meet N_>i = H_(i+1) by the test and induction. So
+        conjugation by a_b maps H_i = <a_i^(m_i)> H_(i+1) into itself, and
+        onto itself, as it maps N_>=i onto itself and H_i has finite index
+        there; so a_b^-1 keeps H_i too. As a_i^(k m_i) h, h in H_(i+1), is
+        in normal form, H_i = D(m) meet N_>=i. So K(m) = H_1 = D(m), and
+        its canonical sequence is diagonal.
+    Coset forms: for stable m, coset_rep(g) is g mod m coordinatewise.
+    With g_i = q_i m_i + r_i, moving each a_i^(q_i m_i) left by normality
+    puts g in D(m) r, r = g mod m. There are prod m_i box vectors
+    0 <= r_i < m_i, as many as cosets, so r is the one box vector of
+    K(m) g, which coset_rep(g) is too."""
     moduli = tuple(moduli)
     if len(moduli) != pres.h or any(m < 1 for m in moduli):
         raise ValidationError("bad moduli vector")
@@ -200,28 +215,13 @@ def diagonal_kernel(pres, moduli):
 
 
 def _diagonal_kernel_uncached(pres, moduli):
-    if pres.nilpotency_class <= 2:
-        for (j, i), v in pres.commutators.items():
-            for t, e in enumerate(v):
-                if e:
-                    if (moduli[i] * e) % moduli[t] or (moduli[j] * e) % moduli[t]:
-                        return None
-        entries = {}
-        for i, m in enumerate(moduli):
-            vec = [0] * pres.h
-            vec[i] = m
-            entries[i] = tuple(vec)
-        return InducedSequence(pres, entries)
-    gens = [pres.pow(pres.gen(i), m) for i, m in enumerate(moduli)]
-    seq = InducedSequence.from_generators(
-        pres, gens, conjugators=[pres.gen(i) for i in range(pres.h)])
-    for i in range(pres.h):
-        entry = seq.entries.get(i)
-        if entry is None or entry[i] != moduli[i]:
-            return None
-        if any(entry[j] for j in range(pres.h) if j != i):
-            return None
-    return seq
+    powers = [tuple(m if t == i else 0 for t in range(pres.h)) for i, m in enumerate(moduli)]
+    for j, i in pres.commutators:
+        for b, a in ((j, i), (i, j)):
+            c = pres.conjugate(powers[a], pres.gen(b))
+            if any(e % m for e, m in zip(c, moduli)):
+                return None
+    return InducedSequence(pres, dict(enumerate(powers)))
 
 
 def schreier_kernel(pres, canon_fns, budget=1_000_000):

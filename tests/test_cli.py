@@ -4,7 +4,7 @@ import pytest
 
 from twistsep.cli import main
 from twistsep.groups import heisenberg
-from twistsep.malcev import MalcevPresentation
+from twistsep.malcev import MAX_HIRSCH_LENGTH, MalcevPresentation
 from twistsep.serialize import dump_json, presentation_to_dict
 
 
@@ -142,6 +142,18 @@ def _assert_input_error(argv, capsys):
     assert main(argv) == 1
     assert any(line.startswith("error:")
                for line in capsys.readouterr().err.splitlines())
+
+
+def test_hirsch_length_is_capped_on_every_route(tmp_path, capsys):
+    assert main(["group", "verify", "abelian:1000"]) == 0
+    big = MAX_HIRSCH_LENGTH + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"basis": [f"e{i}" for i in range(big)],
+                                "weights": {f"e{i}": 1 for i in range(big)}}))
+    # the abelian: spec is refused before any generator is built
+    for ref in (f"abelian:{big}", "abelian:1000000000", str(path)):
+        assert main(["group", "verify", ref]) == 2
+        assert "Hirsch length" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["abelian:x", "abelian:-1", "abelian:0"])

@@ -5,7 +5,7 @@ import pytest
 from twistsep.errors import BudgetExceededError, PreconditionError, ValidationError
 from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
                              heisenberg_automorphism)
-from twistsep.malcev import identity_automorphism
+from twistsep.malcev import GroupHom, identity_automorphism
 from twistsep.quotients import (CentralQuotientError, FiniteQuotient,
                                 central_quotient, congruence_depth,
                                 congruence_kernels, congruence_quotient,
@@ -67,6 +67,11 @@ def test_induced_automorphism():
     q5 = congruence_quotient(D5, 2)
     bar5 = induced_automorphism(q5, dim5_automorphism(D5))
     assert len({bar5(e) for e in q5.elements()}) == 32
+    # x -> 3x on Z keeps 3^k Z but collapses Z/3^k, at every order
+    Z = free_abelian(1)
+    for k in (1, 10):
+        with pytest.raises(ValidationError):
+            induced_automorphism(congruence_quotient(Z, 3 ** k), GroupHom(Z, Z, [(3,)]))
 
 
 def test_projected_class_singleton_and_partition():

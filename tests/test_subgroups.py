@@ -7,10 +7,11 @@ import pytest
 from twistsep.errors import ValidationError
 from twistsep.groups import dim5, free_abelian, heisenberg, ut4
 from twistsep.malcev import multiply, power
+from twistsep.quotients import congruence_kernels
 from twistsep.subgroups import (InducedSequence, diagonal_kernel,
                                 enumerate_finite_index_subgroups,
                                 intersect_finite_index, power_subgroup)
-from test_depth_scan import all_stable_kernels
+from test_depth_scan import all_stable_kernels, ordered_factorizations
 from test_malcev import U5
 
 SEED = 20240214
@@ -110,31 +111,39 @@ def test_diagonal_kernel_stability():
         diagonal_kernel(H3, (2, 2))
 
 
+def closure_stable(pres, moduli):
+    """The stability decision by the generic normal closure of the
+    a_i^(m_i): the closure's canonical sequence when it is the diagonal
+    one, else None. The reference for diagonal_kernel's test."""
+    gens = [power(pres, pres.gen(i), m) for i, m in enumerate(moduli)]
+    seq = InducedSequence.from_generators(
+        pres, gens, conjugators=[pres.gen(i) for i in range(pres.h)])
+    return seq if seq.entries == dict(enumerate(gens)) else None
+
+
 def test_diagonal_kernel_fast_path_matches_generic():
-    rng = random.Random(SEED + 4)
+    # every moduli vector up to each order, composite orders included,
+    # in classes 2, 2, 3 and 4
+    for pres, max_order in ((H3, 60), (D5, 16), (ut4(), 12), (U5, 6)):
+        stable = unstable = 0
+        for order in range(2, max_order + 1):
+            for vec in ordered_factorizations(order, pres.h):
+                seq, ref = diagonal_kernel(pres, vec), closure_stable(pres, vec)
+                assert (seq is None) == (ref is None), (pres.basis, vec)
+                if ref is None:
+                    unstable += 1
+                else:
+                    assert seq.entries == ref.entries, (pres.basis, vec)
+                    stable += 1
+        assert stable > 20 and unstable > 20, pres.basis
 
-    def generic(pres, vec):
-        gens = [power(pres, pres.gen(i), m) for i, m in enumerate(vec)]
-        seq = InducedSequence.from_generators(
-            pres, gens, conjugators=[pres.gen(i) for i in range(pres.h)])
-        for i in range(pres.h):
-            e = seq.entries.get(i)
-            if e is None or e[i] != vec[i] or any(e[j] for j in range(pres.h) if j != i):
-                return None
-        return seq
 
-    for _ in range(150):
-        vec = tuple(rng.randint(1, 6) for _ in range(3))
-        fast = diagonal_kernel(H3, vec)
-        slow = generic(H3, vec)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            assert fast.entries == slow.entries
-    for _ in range(60):
-        vec = tuple(rng.randint(1, 4) for _ in range(5))
-        fast = diagonal_kernel(D5, vec)
-        slow = generic(D5, vec)
-        assert (fast is None) == (slow is None)
+def test_congruence_kernels_build_no_closure(monkeypatch):
+    def no_closure(self, conjugators):
+        raise AssertionError("a stability decision ran a closure")
+
+    monkeypatch.setattr(InducedSequence, "_close", no_closure)
+    assert len(list(congruence_kernels(ut4(), 243))) == 476
 
 
 def test_schreier_intersection():
