@@ -165,6 +165,8 @@ def heisenberg_case(pres, phi, samples=50, seed=DEFAULT_SEED):
     When the determinant is -1 the uniform witness z^2 in N_{phi_X} is
     checked over sampled X.
     """
+    if samples < 1:  # a claim over no sample would hold vacuously
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     problems = verify_hom(phi, check_automorphism=True)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -263,6 +265,8 @@ def dim5_scenario(samples=50, max_norm=40, seed=DEFAULT_SEED, growth_radii=(1, 2
     centralizer, the exact psi values on the central generators, the
     square-root trend of the psi-image norm, the one-dimensional central
     quotients of Hirsch length 3, and a small growth scan."""
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     if max_norm < 6:
         raise ValidationError(f"max_norm must be at least 6 for the norm fit, got {max_norm}")
     p = dim5()

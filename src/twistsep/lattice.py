@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: Hermite/Smith normal forms, kernels,
-saturation, and the constructive preimage routines used everywhere else.
+"""Exact integer linear algebra on one normal form: kernels, preimages,
+saturations, indices and the Smith form all run on the row Hermite form
+(hnf), along with the constructive preimage routines used elsewhere.
 
 Matrices are plain lists of rows of Python ints, so every computation is
 exact at arbitrary precision. A matrix M with m rows and n columns
@@ -111,7 +112,7 @@ def hnf(M):
         for i in range(pivot_row + 1, m):
             while H[i][col] != 0:
                 a, b = H[pivot_row][col], H[i][col]
-                if abs(a) > abs(b) or (b != 0 and a % b == 0 and abs(a) >= abs(b)):
+                if abs(a) >= abs(b):
                     q = a // b
                     H[pivot_row] = [x - q * y for x, y in zip(H[pivot_row], H[i])]
                     U[pivot_row] = [x - q * y for x, y in zip(U[pivot_row], U[i])]
@@ -141,148 +142,88 @@ def snf(M):
     """Smith normal form. Returns (S, U, V) with U*M*V == S, S diagonal
     with nonnegative entries and the divisibility chain s1 | s2 | ...
 
-    Row and column eliminations use 2x2 unimodular gcd blocks, so every
-    proper step strictly divides the working pivot and the divisibility
-    repair pass restarts cleanly; both loops terminate along divisor
-    chains.
+    Alternating Hermite forms (Kannan and Bachem): each round takes a
+    column form S Q^T = hnf(S^T)^T, then a row form P S = hnf(S), at least
+    once and until S is diagonal; an s_i that does not divide s_(i+1) then
+    takes row i + 1 into its own, and the rounds go on.
+
+    Termination. Let t be the first diagonal position whose row or column
+    is not clear. A column form clears row t and makes S[t][t] that row's
+    gcd; a row form clears column t and makes S[t][t] that column's gcd.
+    So S[t][t] only ever becomes a divisor of itself, and it gets strictly
+    smaller unless its row and column are already clear (a clear row t is
+    then the unique Hermite row with pivot S[t][t]). Cleared rows and
+    columns stay clear, as the Hermite form is unique. After a repair the
+    next column form makes s_i the proper divisor gcd(s_i, s_(i+1)), and
+    the earlier positions stay; so the diagonal falls in the lexicographic
+    order of divisibility, which is well founded.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    S = [row[:] for row in M]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def gcd_rows(t, i):
-        # make S[t][t] = gcd, S[i][t] = 0 with one unimodular 2x2 block
-        a, b = S[t][t], S[i][t]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            S[i] = [x - q * y for x, y in zip(S[i], S[t])]
-            U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-            return
-        x, y, g = xgcd(a, b)
-        p1, p2 = -(b // g), a // g
-        S[t], S[i] = ([x * u + y * v for u, v in zip(S[t], S[i])],
-                      [p1 * u + p2 * v for u, v in zip(S[t], S[i])])
-        U[t], U[i] = ([x * u + y * v for u, v in zip(U[t], U[i])],
-                      [p1 * u + p2 * v for u, v in zip(U[t], U[i])])
-
-    def gcd_cols(t, j):
-        a, b = S[t][t], S[t][j]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            for row in S:
-                row[j] -= q * row[t]
-            for row in V:
-                row[j] -= q * row[t]
-            return
-        x, y, g = xgcd(a, b)
-        p1, p2 = -(b // g), a // g
-        for row in S:
-            row[t], row[j] = x * row[t] + y * row[j], p1 * row[t] + p2 * row[j]
-        for row in V:
-            row[t], row[j] = x * row[t] + y * row[j], p1 * row[t] + p2 * row[j]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0 and (pivot is None
-                                     or abs(S[i][j]) < abs(S[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            while any(S[i][t] for i in range(t + 1, m)) or \
-                    any(S[t][j] for j in range(t + 1, n)):
-                for i in range(t + 1, m):
-                    gcd_rows(t, i)
-                for j in range(t + 1, n):
-                    gcd_cols(t, j)
-            violation = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t] != 0:
-                        violation = i
-                        break
-                if violation is not None:
-                    break
-            if violation is None:
-                break
-            S[t] = [x + y for x, y in zip(S[t], S[violation])]
-            U[t] = [x + y for x, y in zip(U[t], U[violation])]
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return S, U, V
+    S, U, V = [row[:] for row in M], identity_matrix(m), identity_matrix(n)
+    if not m or not n:
+        return S, U, V
+    while True:
+        T, Q = hnf(transpose(S))
+        S, P = hnf(transpose(T))
+        U, V = mat_mul(P, U), mat_mul(V, transpose(Q))
+        if any(S[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        d = [S[i][i] for i in range(min(m, n)) if S[i][i]]
+        i = next((i for i in range(len(d) - 1) if d[i + 1] % d[i]), None)
+        if i is None:
+            return S, U, V
+        S[i] = [x + y for x, y in zip(S[i], S[i + 1])]
+        U[i] = [x + y for x, y in zip(U[i], U[i + 1])]
 
 
 def invariant_factors(M):
-    S, _, _ = snf(M)
-    diag = [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
-    return [d for d in diag if d != 0]
+    S = snf(M)[0]
+    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i]]
 
 
 def rank(M):
-    return len(invariant_factors(M))
+    return sum(1 for row in hnf(M)[0] if any(row))
+
+
+def _column_form(M):
+    """(H, U, K) with U M^T = H in Hermite form, so M U^T = H^T: H keeps
+    the nonzero rows, U their rows of the transform, and K the rows that
+    hnf sends to zero, a basis of {v : M v = 0}."""
+    H, U = hnf(transpose(M))
+    r = sum(1 for row in H if any(row))
+    return H[:r], U[:r], U[r:]
 
 
 def solve(M, b):
-    """One integer solution a of M a = b, or None. M acts on column vectors."""
+    """The integer solution a of M a = b reduced modulo the kernel lattice,
+    or None. M acts on column vectors.
+
+    a = U^T y solves when H^T y = b, and y is read off pivot by pivot; a
+    pivot that does not divide its entry, or a residue left at the end,
+    means there is no solution. The solutions form one coset of the kernel,
+    and kernel.reduce returns its canonical representative, whichever
+    elimination found it."""
     m = len(M)
     n = len(M[0]) if m else 0
     if len(b) != m:
         raise ValidationError("dimension mismatch in solve")
     if n == 0:
         return [] if all(x == 0 for x in b) else None
-    S, U, V = snf(M)
-    ub = mat_vec(U, b)
-    y = [0] * n
-    r = min(m, n)
-    for i in range(r):
-        s = S[i][i]
-        if s == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % s != 0:
-                return None
-            y[i] = ub[i] // s
-    for i in range(r, m):
-        if ub[i] != 0:
-            return None
-    return mat_vec(V, y)
+    H, U, K = _column_form(M)
+    y = Lattice(m, H).coordinates(b)
+    if y is None:
+        return None
+    a = [sum(c * u[j] for c, u in zip(y, U)) for j in range(n)]
+    return list(Lattice.from_rows(n, K).reduce(a))
 
 
 def inverse_unimodular(M):
-    """Inverse of a unimodular integer matrix, exact."""
-    n = len(M)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        col = solve(M, e)
-        if col is None:
-            raise ValidationError("matrix is not unimodular")
-        cols.append(col)
-    return transpose(cols)
+    """Inverse of a unimodular integer matrix, exact: hnf(M) = (I, M^-1)."""
+    H, U = hnf(M)
+    if H != identity_matrix(len(M)):
+        raise ValidationError("matrix is not unimodular")
+    return U
 
 
 @dataclass
@@ -335,32 +276,30 @@ class Lattice:
 
 
 def saturation(L):
-    """The isolator lattice: rational span of L intersected with Z^ambient."""
+    """The isolator lattice: rational span of L intersected with Z^ambient,
+    the kernel of the kernel of L's rows (all of Z^ambient at full rank)."""
+    if L.rank == L.ambient:
+        return Lattice(L.ambient, identity_matrix(L.ambient))
     if not L.rows:
         return Lattice(L.ambient, [])
-    S, U, V = snf(L.rows)
-    r = len([1 for i in range(min(len(S), len(S[0]))) if S[i][i] != 0])
-    vinv = inverse_unimodular(V)
-    return Lattice.from_rows(L.ambient, vinv[:r])
+    return kernel_basis(kernel_basis(L.rows).rows)
 
 
 def isolator_index(L):
-    """[sqrt(L) : L], the product of the nonzero invariant factors."""
-    if not L.rows:
-        return 1
-    return math.prod(invariant_factors(L.rows))
+    """[sqrt(L) : L], the product of L's nonzero invariant factors: the
+    columns of L's basis span a full-rank lattice of that index in
+    Z^rank, whose Hermite basis is triangular with the index as the
+    product of its pivots."""
+    cols = Lattice.from_rows(L.rank, transpose(L.rows))
+    return math.prod(row[i] for i, row in enumerate(cols.rows))
 
 
 def kernel_basis(matrix):
-    """Row basis of {v : M v = 0}."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
+    """Row basis of {v : M v = 0}, in Hermite form."""
+    n = len(matrix[0]) if matrix else 0
     if n == 0:
         return Lattice(0, [])
-    S, U, V = snf(matrix)
-    r = len(invariant_factors(matrix))
-    gens = [[row[j] for row in V] for j in range(r, n)]
-    return Lattice.from_rows(n, gens)
+    return Lattice.from_rows(n, _column_form(matrix)[2])
 
 
 def kernel_with_construction(matrix):
@@ -391,7 +330,7 @@ def kernel_with_construction(matrix):
         D = det(sub)
     else:
         # rectangular: fall back to the product of invariant factors
-        D = math.prod(invariant_factors(sub))
+        D = isolator_index(Lattice.from_rows(m, chosen))
     tail = [j for j in range(n) if j not in chosen_idx]
     gens = []
     max_entry = 0

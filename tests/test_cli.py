@@ -73,6 +73,15 @@ def test_dim5_max_norm_below_six_is_error(capsys):
     assert "max_norm must be at least 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_dim5_without_samples_is_error(samples, capsys):
+    # "n2_matches" over no sample would be vacuously true
+    assert main(["examples", "dim5", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert "samples must be at least 1" in captured.err
+    assert "n2_matches" not in captured.out
+
+
 def test_depth_conjugate_pair_is_error(capsys):
     assert main(["depth", "heisenberg", "id", "1,0,0", "1,0,0"]) == 1
 

@@ -159,6 +159,18 @@ def test_dim5_scenario_quick():
     assert res["central_quotient_hirsch"] == (3, 3)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_certificates_need_a_sample(samples):
+    # case 2 with determinant -1: the uniform witness claim would hold
+    # vacuously over no sampled twist
+    flip = heisenberg_automorphism(H3, [[1, 0], [0, -1]])
+    assert heisenberg_case(H3, flip, samples=1)["uniform_witness_z2"]
+    with pytest.raises(ValidationError, match="samples must be at least 1"):
+        heisenberg_case(H3, flip, samples=samples)
+    with pytest.raises(ValidationError, match="samples must be at least 1"):
+        dim5_scenario(samples=samples, max_norm=6, growth_radii=())
+
+
 def test_dim5_scenario_names_the_least_max_norm():
     # max_norm 5 leaves the norm rows 2 and 4, too few for the fit
     with pytest.raises(ValidationError, match="max_norm must be at least 6"):

@@ -1,13 +1,15 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistsep.errors import PreconditionError
+from twistsep.errors import PreconditionError, ValidationError
 from twistsep.lattice import (Lattice, det, hnf, identity_matrix,
-                              invariant_factors, isolator_index, kernel_basis,
+                              invariant_factors, inverse_unimodular,
+                              isolator_index, kernel_basis,
                               kernel_with_construction, mat_mul, mat_vec,
-                              p_power_preimage, saturation, snf, solve,
+                              p_power_preimage, rank, saturation, snf, solve,
                               transpose, xgcd)
 
 SEED = 20240214
@@ -22,6 +24,25 @@ def test_snf_diagonal_examples():
     assert [S[0][0], S[1][1]] == [1, 6]
     S, U, V = snf([[5, 0], [0, 5]])
     assert [S[0][0], S[1][1]] == [5, 5]
+    # a diagonal input with a negative or a leading zero entry is still
+    # signed and ordered
+    for M, diagonal in (([[0, 0], [0, -1]], [1, 0]), ([[-6, 0], [0, 0]], [6, 0])):
+        S, U, V = snf(M)
+        assert mat_mul(mat_mul(U, M), V) == S
+        assert det(U) in (1, -1) and det(V) in (1, -1)
+        assert [S[0][0], S[1][1]] == diagonal and S[0][1] == S[1][0] == 0
+        assert invariant_factors(M) == diagonal[:1]
+
+
+def test_empty_and_degenerate_shapes():
+    # empty shapes keep their rows: snf of a row with no columns included
+    assert solve([], []) == []
+    assert solve([[]], [1]) is None
+    assert kernel_basis([[]]) == Lattice(0, [])
+    assert snf([[]]) == ([[]], [[1]], [])
+    assert rank([[0, 0]]) == 0
+    with pytest.raises(ValidationError, match="not unimodular"):
+        inverse_unimodular([[2]])
 
 
 def test_hnf_identity_for_unimodular():
@@ -193,3 +214,48 @@ def test_cramer_agrees_with_image_membership():
         if s is not None:
             assert s == [x // d for x in minors]
             assert mat_vec(M, s) == b
+
+
+def sparse_matrix(rng, m, n, bound=6):
+    return [[0 if rng.random() < 0.3 else rng.randint(-bound, bound)
+             for _ in range(n)] for _ in range(m)]
+
+
+def test_solve_returns_the_reduced_solution_random():
+    rng = random.Random(SEED + 6)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        M = sparse_matrix(rng, m, n)
+        if rng.random() < 0.5:
+            b = mat_vec(M, [rng.randint(-5, 5) for _ in range(n)])
+        else:
+            b = [rng.randint(-8, 8) for _ in range(m)]
+        a = solve(M, b)
+        # the column lattice is the image: membership decides solvability
+        assert (a is None) == (not Lattice.from_rows(m, transpose(M)).contains(b))
+        if a is not None:
+            assert mat_vec(M, a) == b
+            assert list(kernel_basis(M).reduce(a)) == a
+
+
+def test_isolator_index_is_the_product_of_invariant_factors_random():
+    rng = random.Random(SEED + 7)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        L = Lattice.from_rows(n, sparse_matrix(rng, rng.randint(0, 6), n))
+        assert isolator_index(L) == math.prod(invariant_factors(L.rows))
+
+
+def test_inverse_unimodular_random():
+    rng = random.Random(SEED + 8)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        M = identity_matrix(n)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                c = rng.randint(-3, 3)
+                M[i] = [x + c * y for x, y in zip(M[i], M[j])]
+            else:
+                M[i] = [-x for x in M[i]]
+        assert mat_mul(inverse_unimodular(M), M) == identity_matrix(n)

@@ -177,3 +177,18 @@ def test_twisted_decision_class3():
         assert disp == U.identity  # identity map: displacement trivial
         y = solve_power_twisted(U, idU, 2, 1, y0)
         assert power_subgroup(U, 2).contains(y)
+
+
+def test_witnesses_are_reduced_preimages():
+    # each step's z comes from the preimage reduced modulo the kernel
+    # lattice, which keeps these witnesses small; unreduced preimages
+    # reach entries of 79,912,476 and 1,940,400 on these pairs
+    idU = identity_automorphism(U)
+    for x, y in (((-3, -3, 2, 2, -1, 0), (-3, -3, 2, -1, -16, 45)),
+                 ((3, 1, 2, -3, 3, -2), (3, 1, 2, -10, 10, -8))):
+        res = is_twisted_conjugate(U, idU, x, y)
+        assert isinstance(res, TwistedWitness) and res.verify(U, idU)
+        assert max(abs(e) for e in res.z) <= 20, res.z
+        zm = to_matrix(res.z)
+        zinv = to_matrix(U.inv(res.z))
+        assert from_matrix(mat_mul4(mat_mul4(zm, to_matrix(x)), zinv)) == y
