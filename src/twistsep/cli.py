@@ -133,9 +133,11 @@ def cmd_depth(args):
                            modulus_budget=args.modulus_budget)
     print(serialize.dump_json(serialize.depth_result_to_dict(x, y, args.phi, res),
                               args.output))
-    if not res.separated:
-        raise BudgetExceededError("no separating congruence quotient within budget",
-                                  budget="order budget", limit=args.order_budget)
+    if not res.separated:  # either budget may have stopped the scan
+        budget, limit = ("order budget", args.order_budget) if args.modulus_budget is None \
+            else ("order and modulus budgets", (args.order_budget, args.modulus_budget))
+        raise BudgetExceededError(f"no separating congruence quotient within the {budget} {limit}",
+                                  budget=budget, limit=limit)
 
 
 def cmd_growth(args):

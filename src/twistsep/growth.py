@@ -4,8 +4,9 @@ witness families, and exponent fitting.
 
 Depth values entering any row are verified separations: the scan both
 finds the separating quotient and exhausts everything smaller, so row
-maxima are exact within the congruence family. Rows range over the pairs
-that are not twisted conjugate, and the depth scan is what decides that.
+maxima are exact within the congruence family. A row's depth scan refines
+the ball, or each sampled pair, into twisted classes, and only pairs split
+apart by a kernel have a depth.
 """
 
 import csv
@@ -85,10 +86,11 @@ def fit_exponent(rows):
 
 def measure_conj_growth(config):
     """Growth rows: for each radius n and automorphism, the maximal
-    congruence depth over the pairs x < y of the n-ball (depth is symmetric)
-    or over sampled pairs, flagged, from one depth scan per row. Conjugate
-    pairs have no depth; the scan reports them and the row skips them.
-    The row's witness is the first pair attaining the maximum."""
+    congruence depth over the pairs of the n-ball, or over sampled pairs,
+    flagged, from one depth scan per row. The sorted ball is one block
+    (depth is symmetric) and a sampled pair a block of two; conjugate pairs
+    have no depth. The row's witness is the first pair attaining the
+    maximum: x < y when exhaustive, the first such sample otherwise."""
     p = config.group
     gens = p.standard_gens()
     rng = random.Random(config.seed)
@@ -99,23 +101,15 @@ def measure_conj_growth(config):
         for n in config.radii:
             if config.tconj and nphi > n:
                 continue
-            dist = ball_with_distances(p, gens, n, config.ball_cap)
-            elements = sorted(dist)
-            if config.mode == "sampled" and len(elements) ** 2 > config.sample_pairs:
-                pairs = [(elements[rng.randrange(len(elements))],
-                          elements[rng.randrange(len(elements))])
-                         for _ in range(config.sample_pairs)]
-                exhaustive = False
-            else:
-                pairs = [(x, y) for x in elements for y in elements if x < y]
-                exhaustive = True
-            best = (0, None, None, None)   # depth, witness x and y, moduli
-            exhausted = False
-            for (x, y), res in zip(pairs, depth_scan(p, phi, pairs, config.order_budget)):
-                # a conjugate pair is neither separated nor budget_exhausted
+            elements = sorted(ball_with_distances(p, gens, n, config.ball_cap))
+            exhaustive = config.mode == "exhaustive" or len(elements) ** 2 <= config.sample_pairs
+            blocks = [elements] if exhaustive else [
+                (rng.choice(elements), rng.choice(elements)) for _ in range(config.sample_pairs)]
+            best, exhausted = (0, None, None, None), False   # depth, witness x and y, moduli
+            for res in depth_scan(p, phi, blocks, config.order_budget):
                 exhausted |= res.budget_exhausted
                 if res.separated and res.order > best[0]:
-                    best = (res.order, x, y, res.moduli)
+                    best = (res.order, *res.witness, res.moduli)
             rows.append(GrowthRow(n, name, *best, exhaustive, exhausted))
     return rows
 
@@ -202,23 +196,16 @@ def heisenberg_central_pair_rows(radii):
     for q in (2, 3, 5):
         xq = p.pow(p.gen(0), q)
         y = p.mult(xq, p.inv(p.gen(2)))
-        lx = word_length(p, gens, xq)
-        ly = word_length(p, gens, y)
+        enter = max(word_length(p, gens, g) for g in (xq, y))
         res = congruence_depth(p, phi, xq, y, CENTRAL_PAIR_ORDER_BUDGET)
         if not res.separated:
             raise BudgetExceededError("central pair depth scan exhausted",
                                       budget="order budget",
                                       limit=CENTRAL_PAIR_ORDER_BUDGET)
-        pairs.append((max(lx, ly), res.order, xq, y))
-    rows = []
-    for n in radii:
-        best = 0
-        for enter, order, _, _ in pairs:
-            if enter <= n:
-                best = max(best, order)
-        if best:
-            rows.append((n, best))
-    return rows
+        pairs.append((enter, res.order))
+    rows = [(n, max((order for enter, order in pairs if enter <= n), default=0))
+            for n in radii]
+    return [row for row in rows if row[1]]
 
 
 def lower_bound_witnesses(primes):

@@ -2,9 +2,9 @@
 orbit enumeration, depth scanning, the central pullback reduction, and
 quotients by central subgroups.
 
-Depth is exact over every stable diagonal kernel, and the scans find it by
-visiting only the kernels of prime-power order, which congruence_kernels
-yields (its docstring proves that nothing is lost).
+Depth scans refine blocks of elements into twisted classes, kernel by
+kernel, over the kernels of prime-power order only; congruence_kernels
+proves that depth stays exact over every stable diagonal kernel.
 
 Two power-subgroup notions coexist deliberately. The stable diagonal
 kernels include the level-m one (subgroups.power_subgroup: basis m-th
@@ -58,9 +58,7 @@ class FiniteQuotient:
         return self.canon(self.pres.inv(a))
 
     def elements(self):
-        ranges = [range(self.kernel.entries[i][i]) for i in range(self.pres.h)]
-        for vec in itertools.product(*ranges):
-            yield tuple(vec)
+        return itertools.product(*(range(self.kernel.entries[i][i]) for i in range(self.pres.h)))
 
     def subgroup_image(self, gens):
         """The subgroup of the quotient generated by images of gens, as a
@@ -184,20 +182,18 @@ class DepthResult:
     moduli: tuple = None
     budget_exhausted: bool = False
     conjugate: bool = False
+    witness: tuple = None
 
 
 class _OrbitLabels:
     """The orbits of xi -> pi(a) xi pi(phi(a))^-1 on N/K, the projected
     twisted classes, labelled lazily: an orbit is searched in full the first
-    time one of its elements asks for its label. Each generator acts as a
-    permutation of the finite set N/K, so its inverse is one of its powers
-    and the searches need only the generators' own moves.
+    time one of its elements asks for its label. Each generator permutes the
+    finite set N/K, so the searches need only the generators' own moves.
 
-    search is written out rather than run through malcev.breadth_first:
-    every orbit at a kernel writes into one shared label map, and this
-    loop, the depth scans' hot path, does without the helper's per-move
-    yield and step call. Keeping it apart also keeps the sifting re-check
-    in depth_scan independent of it."""
+    search, the depth scans' hot path, writes every orbit at a kernel into
+    one shared label map without malcev.breadth_first's per-move yield, and
+    stays independent of depth_scan's sifting re-check."""
 
     def __init__(self, pres, phi, canon):
         self.canon = canon
@@ -230,52 +226,66 @@ class _OrbitLabels:
         return self.labels.get(self.canon(g))
 
 
-def depth_scan(pres, phi, pairs, order_budget, modulus_budget=None):
-    """Congruence depths of many pairs (x, y) in one pass over the stable
-    diagonal kernels of prime-power order, in increasing order. The depth
-    found is exact over every stable diagonal kernel: one of composite
-    order separates a pair only when one of its prime parts, scanned
-    earlier, does (congruence_kernels). Each pair is decided first: a
-    twisted conjugate pair has no depth, is reported conjugate and is not
-    scanned. A pending pair is separated at the first kernel where y's
-    coset does not carry the label of x's orbit. Orbit labels are shared by
-    all pairs at a kernel, and the scan stops once every pair is separated.
-    Each separation is re-checked by plain sifting in a fresh quotient,
-    which enumerates x's class once per kernel however many pairs share x.
-    An optional modulus budget caps every individual modulus; pairs left
-    unseparated are reported budget_exhausted."""
-    pairs = [(pres.check_element(x), pres.check_element(y)) for x, y in pairs]
-    results = [DepthResult(False, conjugate=True)
-               if isinstance(is_twisted_conjugate(pres, phi, x, y), TwistedWitness)
-               else DepthResult(False, budget_exhausted=True) for x, y in pairs]
-    pending = [k for k, res in enumerate(results) if not res.conjugate]
-    if not pending:
-        return results
-    for order, vec, kernel in congruence_kernels(pres, order_budget):
+def depth_scan(pres, phi, blocks, order_budget, modulus_budget=None):
+    """Congruence depths of blocks of elements (a pair is a block of two)
+    in one pass over the stable diagonal kernels of prime-power order, in
+    increasing order: exact over all of them (congruence_kernels).
+
+    Each block is refined into parts. A part is decided when it is created:
+    if its first element is twisted conjugate to all the others, it is one
+    class and is dropped. At a kernel a live part peels off the elements
+    labelled like its first element, the only orbit searched, and repeats
+    on the rest; pairs split apart have the kernel's order as depth. A split
+    into P_1..P_k is re-checked by sifting in a fresh quotient: for i < k
+    the class of P_i's first element holds P_i and none of P_(i+1)..P_k.
+
+    Per block: order, moduli and witness (first pair in block order) of the
+    deepest split; conjugate when it is one class; budget_exhausted when a
+    live part is left. modulus_budget caps every single modulus."""
+    for name, budget in (("order", order_budget), ("modulus", modulus_budget)):
+        if budget is not None and budget < 1:
+            raise ValidationError(f"{name} budget must be at least 1, got {budget}")
+    blocks = [[pres.check_element(g) for g in block] for block in blocks]
+
+    def live(block, part):  # not one class: part[0] is not conjugate to all the others
+        return any(not isinstance(is_twisted_conjugate(pres, phi, block[part[0]], block[i]),
+                                  TwistedWitness) for i in part[1:])
+
+    parts = [(b, range(len(bl))) for b, bl in enumerate(blocks) if live(bl, range(len(bl)))]
+    best = {}   # block -> (order, witness indices, moduli)
+    for order, vec, kernel in congruence_kernels(pres, order_budget) if parts else ():
         if modulus_budget is not None and max(vec) > modulus_budget:
             continue
-        # g mod vec is the coset form of a stable diagonal kernel
-        # (diagonal_kernel has the proof)
+        # g mod vec is a stable diagonal kernel's coset form (diagonal_kernel proves it)
         labels = _OrbitLabels(pres, phi, lambda g: tuple(map(operator.mod, g, vec)))
-        quotient, classes = FiniteQuotient(pres, kernel), {}
-        still = []
-        for k in pending:
-            x, y = pairs[k]
-            # x's orbit is complete before y's label is read, so an
-            # unlabelled y lies outside it
-            label = labels.search(x)
-            if labels.peek(y) == label:
-                still.append(k)
+        quotient, still = FiniteQuotient(pres, kernel), []
+        for b, part in parts:
+            block, pieces, rest = blocks[b], [], part
+            while len(rest) > 1:  # the orbit is complete before the rest is peeked
+                label, split = labels.search(block[rest[0]]), ([], [])
+                for i in rest[1:]:
+                    split[labels.peek(block[i]) != label].append(i)
+                pieces, rest = pieces + [[rest[0]] + split[0]], split[1]
+            pieces += [rest] if rest else []
+            if len(pieces) == 1:
+                still.append((b, part))
                 continue
-            if x not in classes:
-                classes[x] = projected_class(quotient, phi, x)
-            if quotient.canon(y) in classes[x]:
-                raise ValidationError("separation re-check failed")
-            results[k] = DepthResult(True, order, vec)
-        pending = still
-        if not pending:
+            for k, piece in enumerate(pieces[:-1]):
+                cls = projected_class(quotient, phi, block[piece[0]])
+                if not all(quotient.canon(block[i]) in cls for i in piece[1:]) or any(
+                        quotient.canon(block[i]) in cls for p in pieces[k + 1:] for i in p):
+                    raise ValidationError("separation re-check failed")
+            new = (order, (part[0], pieces[1][0]), vec)   # the first pair split here
+            best[b] = min(best.get(b, new), new, key=lambda r: (-r[0], r[1]))  # deepest first
+            still += [(b, p) for p in pieces if live(block, p)]
+        parts = still
+        if not parts:
             break
-    return results
+    left = {b for b, _ in parts}
+    return [DepthResult(True, best[b][0], best[b][2], b in left,
+                        witness=tuple(block[i] for i in best[b][1])) if b in best
+            else DepthResult(False, budget_exhausted=b in left, conjugate=b not in left)
+            for b, block in enumerate(blocks)]
 
 
 def congruence_depth(pres, phi, x, y, order_budget=DEFAULT_ORDER_BUDGET,

@@ -55,6 +55,26 @@ def test_depth_budget_exit_code(capsys):
                  "--order-budget", "5"]) == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--order-budget", "0"), ("--order-budget", "-5"),
+    ("--modulus-budget", "0"), ("--modulus-budget", "-3"),
+])
+def test_depth_budgets_below_one_are_refused(option, value, capsys):
+    # a budget below 1 scans nothing, which is a usage error, not exhaustion
+    assert main(["depth", "heisenberg", "id", "2,0,0", "2,0,1", option, value]) == 1
+    name = option[2:].replace("-", " ")
+    assert f"error: {name} must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def test_depth_exhaustion_names_both_budgets(capsys):
+    # depth 27 needs the modulus 3, so the modulus budget stops this scan
+    assert main(["depth", "heisenberg", "id", "3,0,0", "3,0,1",
+                 "--order-budget", "500", "--modulus-budget", "2"]) == 2
+    assert "within the order and modulus budgets (500, 2)" in capsys.readouterr().err
+    assert main(["depth", "heisenberg", "id", "3,0,0", "3,0,1", "--order-budget", "5"]) == 2
+    assert "within the order budget 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["depth", "heisenberg", "id", "1,0,0", "--bogus"],
     ["twisted", "decide", "heisenberg", "id", "1,0,0"],

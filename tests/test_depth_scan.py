@@ -1,6 +1,7 @@
 """Differential tests of the shared orbit-label depth scan against the
 sifting reference: plain separates over every stable diagonal kernel,
-composite orders included, pair by pair."""
+composite orders included, pair by pair, and of each block's result
+against its pairs."""
 
 import operator
 import random
@@ -262,3 +263,109 @@ def test_wrong_labels_fail_the_recheck(monkeypatch):
     x3 = H3.pow(H3.gen(0), 3)
     with pytest.raises(ValidationError, match="separation re-check failed"):
         depth_scan(H3, phi, [(x3, H3.mult(x3, H3.gen(2)))], 100)
+
+
+def block_reference(pres, phi, block, order_budget, modulus_budget=None):
+    """A block's result from its pairs in block order, each decided and
+    scanned by the per-pair reference: the first maximal pair with its
+    moduli, whether every pair is conjugate, and whether a non-conjugate
+    pair is left unseparated."""
+    best, conjugate, exhausted = None, True, False
+    for i, x in enumerate(block):
+        for y in block[i + 1:]:
+            if is_conjugate(pres, phi, x, y):
+                continue
+            conjugate = False
+            found = reference_depth(pres, phi, x, y, order_budget, modulus_budget)
+            if found is None:
+                exhausted = True
+            elif best is None or found[0] > best[0]:
+                best = (found[0], found[1], (x, y))
+    return best, conjugate, exhausted
+
+
+def random_blocks(pres, phi, rng, bound, sizes):
+    """Blocks of the given sizes mixing powers of random elements with
+    duplicates, twisted conjugates and central translates of earlier
+    members, which separate only deep in the scan, if at all; a block of
+    two is a duplicated element, x == y."""
+    top = pres.layer_indices(pres.nilpotency_class)
+
+    def el(b=bound):
+        return tuple(rng.randint(-b, b) for _ in range(pres.h))
+
+    blocks = []
+    for size in sizes:
+        block = [pres.pow(el(), rng.choice([1, 2, 3, 5]))]
+        while len(block) < size:
+            kind, old = rng.randrange(4), rng.choice(block)
+            if kind == 0 or size == 2:
+                block.append(old)
+            elif kind == 1:
+                block.append(twisted_image(pres, phi, el(1), old))
+            elif kind == 2:
+                block.append(pres.mult(old, pres.gen(rng.choice(top))))
+            else:
+                block.append(pres.pow(el(), rng.choice([1, 2, 3, 5])))
+        blocks.append(block[:size])
+    return blocks
+
+
+@pytest.mark.parametrize("pres, phi, bound, budget, modulus_budget", [
+    (H3, identity_automorphism(H3), 3, 60, None),
+    (H3, identity_automorphism(H3), 3, 60, 3),
+    (H3, heisenberg_automorphism(H3, [[2, 1], [1, 1]]), 2, 60, None),
+    (D5, dim5_automorphism(D5), 2, 48, None),
+    (D5, dim5_automorphism(D5), 2, 48, 2),
+    (U4, identity_automorphism(U4), 1, 12, None),
+], ids=["H3-id", "H3-id-mod3", "H3-A", "dim5", "dim5-mod2", "ut4"])
+def test_block_scan_matches_its_pairs(pres, phi, bound, budget, modulus_budget):
+    rng = random.Random(SEED + pres.h + budget)
+    blocks = random_blocks(pres, phi, rng, bound, [0, 1, 2, 5, 7, 5])
+    results = depth_scan(pres, phi, blocks, budget, modulus_budget)
+    assert len(results) == len(blocks)
+    kinds = set()
+    for block, res in zip(blocks, results):
+        best, conjugate, exhausted = block_reference(pres, phi, block, budget, modulus_budget)
+        assert (res.conjugate, res.budget_exhausted) == (conjugate, exhausted)
+        assert res.separated == (best is not None)
+        if best is not None:
+            assert (res.order, res.moduli, res.witness) == best
+        else:
+            assert (res.order, res.moduli, res.witness) == (None, None, None)
+        kinds.add((res.separated, conjugate, exhausted))
+    # every case has a block that is one class and a block with a separation
+    assert (False, True, False) in kinds and any(k[0] for k in kinds)
+
+
+@pytest.mark.parametrize("budgets, name", [
+    ((0, None), "order"), ((-5, None), "order"), ((100, 0), "modulus"), ((100, -3), "modulus"),
+])
+def test_budgets_below_one_are_refused(budgets, name):
+    x3 = H3.pow(H3.gen(0), 3)
+    with pytest.raises(ValidationError, match=f"{name} budget must be at least 1"):
+        depth_scan(H3, identity_automorphism(H3), [(x3, H3.gen(2))], *budgets)
+    with pytest.raises(ValidationError, match=f"{name} budget must be at least 1"):
+        congruence_depth(H3, identity_automorphism(H3), x3, H3.gen(2), *budgets)
+
+
+@pytest.mark.parametrize("merge", [False, True], ids=["split", "merge"])
+def test_wrong_labels_of_later_elements_fail_the_recheck(monkeypatch, merge):
+    # a, c, b are three classes and b2 is conjugate to b; the labelling is
+    # right but for b2. Split from b, b2 leaves the first part's split sound,
+    # so only the re-check of b's part can refuse it; given a's label, b2
+    # joins a's part and must be found outside a's class
+    phi = identity_automorphism(H3)
+    a, c, b = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    b2 = twisted_image(H3, phi, H3.gen(0), b)
+    assert b2 != b and is_conjugate(H3, phi, b, b2)
+    peek = quotients._OrbitLabels.peek
+    monkeypatch.setattr(quotients._OrbitLabels, "peek", lambda self, g: peek(self, g)
+                        if g != b2 else peek(self, a) if merge else "wrong")
+    enumerated = []
+    projected_class = quotients.projected_class
+    monkeypatch.setattr(quotients, "projected_class",
+                        lambda q, f, x: enumerated.append(x) or projected_class(q, f, x))
+    with pytest.raises(ValidationError, match="separation re-check failed"):
+        depth_scan(H3, phi, [[a, c, b, b2]], 100)
+    assert enumerated[-1] == (a if merge else b)

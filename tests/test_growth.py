@@ -5,15 +5,15 @@ import pytest
 
 from twistsep.errors import ValidationError
 from twistsep.groups import (free_abelian, heisenberg,
-                             heisenberg_automorphism)
-from twistsep import growth
+                             heisenberg_automorphism, ut4)
+from twistsep import growth, quotients
 from twistsep.growth import (ExperimentConfig, GrowthRow, dim5_scenario,
                              fit_exponent, growth_rows_to_csv,
                              heisenberg_case, heisenberg_central_pair_rows,
                              lower_bound_witnesses, measure_conj_growth)
 from twistsep.malcev import ball, compose_with_inner, identity_automorphism
 from twistsep.quotients import depth_scan
-from twistsep.twisted import TwistedChain
+from twistsep.twisted import TwistedChain, is_twisted_conjugate
 
 SEED = 20240214
 H3 = heisenberg()
@@ -89,20 +89,24 @@ def test_measure_growth_h3_small():
         assert r.depth > 0 and not r.budget_exhausted
 
 
-def test_exhaustive_growth_scans_each_unordered_pair_once(monkeypatch):
-    # depth is symmetric, so the rows over x < y equal the maximum over all
-    # ordered pairs, with the first maximal ordered pair as witness
+def test_exhaustive_growth_row_is_one_block(monkeypatch):
+    # depth is symmetric, so the row scanned as one block, the sorted ball,
+    # equals the maximum over all ordered pairs, each a block of two, with
+    # the first maximal ordered pair as witness
     fam = [("id", identity_automorphism(H3)),
            ("A", heisenberg_automorphism(H3, [[2, 1], [1, 1]]))]
-    scanned = []
-    monkeypatch.setattr(growth, "depth_scan", lambda p, phi, pairs, budget:
-                        scanned.append(len(pairs)) or depth_scan(p, phi, pairs, budget))
+    scanned, decisions = [], []
+    monkeypatch.setattr(growth, "depth_scan", lambda p, phi, blocks, budget:
+                        scanned.append(blocks) or depth_scan(p, phi, blocks, budget))
+    monkeypatch.setattr(quotients, "is_twisted_conjugate", lambda *args:
+                        decisions.append(args) or is_twisted_conjugate(*args))
     rows = measure_conj_growth(ExperimentConfig(H3, fam, [1, 2], order_budget=200))
-    expected, sizes = [], []
+    monkeypatch.undo()
+    expected, balls = [], []
     for name, phi in fam:
         for n in (1, 2):
-            elements = ball(H3, H3.standard_gens(), n)
-            sizes.append(len(elements) * (len(elements) - 1) // 2)
+            elements = sorted(ball(H3, H3.standard_gens(), n))
+            balls.append([elements])
             pairs = [(x, y) for x in elements for y in elements if x != y]
             best, exhausted = (0, None, None, None), False
             for (x, y), res in zip(pairs, depth_scan(H3, phi, pairs, 200)):
@@ -110,9 +114,23 @@ def test_exhaustive_growth_scans_each_unordered_pair_once(monkeypatch):
                 if res.separated and res.order > best[0]:
                     best = (res.order, x, y, res.moduli)
             expected.append(GrowthRow(n, name, *best, True, exhausted))
-    assert scanned == sizes
+    assert scanned == balls
     assert rows == expected
     assert all(r.depth > 0 for r in rows)
+    # one decision per new part, far below the 2 * (10 + 136) pairs
+    assert len(decisions) < sum(len(b[0]) for b in balls)
+
+
+@pytest.mark.parametrize("pres, n, depth, witness, moduli", [
+    (H3, 10, 512, ((-8, 0, -8), (-8, 0, -4)), (8, 8, 8)),
+    (ut4(), 4, 243, ((-1, 0, -1, -1, 0, 0), (-1, 0, -1, 0, 1, 0)), (3, 3, 3, 3, 3, 1)),
+], ids=["H3-10", "ut4-4"])
+def test_exhaustive_rows_beyond_the_pair_scan(pres, n, depth, witness, moduli):
+    # 4,309 and 557 elements: rows a scan over every pair did not reach
+    [row] = measure_conj_growth(ExperimentConfig(pres, [("id", identity_automorphism(pres))],
+                                                 [n], order_budget=2000))
+    assert (row.depth, (row.witness_x, row.witness_y), row.moduli) == (depth, witness, moduli)
+    assert row.exhaustive and not row.budget_exhausted
 
 
 def test_growth_rows_csv(tmp_path):
