@@ -4,9 +4,10 @@ witness families, and exponent fitting.
 
 Depth values entering any row are verified separations: the scan both
 finds the separating quotient and exhausts everything smaller, so row
-maxima are exact within the congruence family. A row's depth scan refines
-the ball, or each sampled pair, into twisted classes, and only pairs split
-apart by a kernel have a depth.
+maxima are exact within the congruence family. A row's depth scan reduces
+the ball, or each sampled pair, to one element per twisted class by
+canonical forms and refines those, and only pairs split apart by a kernel
+have a depth.
 """
 
 import csv
@@ -21,7 +22,7 @@ from .malcev import (automorphism_norm, ball_with_distances, compose_with_inner,
                      word_length_upper)
 from .groups import dim5, dim5_automorphism, heisenberg
 from .quotients import congruence_depth, depth_scan, one_dim_central_quotient
-from .twisted import TwistedWitness, is_twisted_conjugate, twisted_chain
+from .twisted import _twist_level, canonical_form, twisted_chain
 
 DEFAULT_SEED = 20240214
 CENTRAL_PAIR_ORDER_BUDGET = 200
@@ -172,15 +173,9 @@ def heisenberg_case(pres, phi, samples=50, seed=DEFAULT_SEED):
     report = {"case": case, "det": D, "eig1_dim": eig1_dim}
     if case == 2 and D == -1:
         rng = random.Random(seed)
-        ok = True
-        for _ in range(samples):
-            X = tuple(rng.randint(-8, 8) for _ in range(3))
-            phi_x = compose_with_inner(pres, phi, X)
-            image = twisted_chain(pres, phi_x).level(2).image
-            if not image.contains([2]):
-                ok = False
-                break
-        report["uniform_witness_z2"] = ok
+        twists = (tuple(rng.randint(-8, 8) for _ in range(3)) for _ in range(samples))
+        report["uniform_witness_z2"] = all(
+            _twist_level(pres, phi, X, 2).image.contains([2]) for X in twists)
     return report
 
 
@@ -210,7 +205,8 @@ def heisenberg_central_pair_rows(radii):
 
 def lower_bound_witnesses(primes):
     """The central translate family x^p z^i, i = 0..3, for each prime: pairwise
-    non-conjugate, with the congruence depth of (x^p, x^p z) exactly p^3
+    non-conjugate where i and j differ by less than p (compared by canonical
+    forms), with the congruence depth of (x^p, x^p z) exactly p^3
     (separation at order p^3, exhaustive non-separation below), scanned
     with an order budget of p^3 + 50."""
     p = heisenberg()
@@ -219,11 +215,9 @@ def lower_bound_witnesses(primes):
     for q in primes:
         xq = p.pow(p.gen(0), q)
         fam = [p.mult(xq, p.pow(p.gen(2), i)) for i in range(4)]
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                if j - i < q and isinstance(
-                        is_twisted_conjugate(p, phi, fam[i], fam[j]), TwistedWitness):
-                    raise ValidationError("translate family failed pairwise non-conjugacy")
+        forms = [canonical_form(p, phi, g)[1] for g in fam]
+        if any(forms[i] == forms[j] for i in range(4) for j in range(i + 1, min(i + q, 4))):
+            raise ValidationError("translate family failed pairwise non-conjugacy")
         budget = q ** 3 + 50
         res = congruence_depth(p, phi, fam[0], fam[1], budget)
         if not res.separated:
@@ -289,8 +283,7 @@ def dim5_scenario(samples=50, max_norm=40, seed=DEFAULT_SEED, growth_radii=(1, 2
         xs += [_random_word_element(p, gens, n, rng) for _ in range(3)]
         worst = 0
         for x in xs:
-            chain = twisted_chain(p, compose_with_inner(p, phi, x))
-            image = chain.level(2).image
+            image = _twist_level(p, phi, x, 2).image
             bound = 0
             for row in image.rows:
                 el = p.from_layer_coords(row, 2)

@@ -195,6 +195,22 @@ def _column_form(M):
     return H[:r], U[:r], U[r:]
 
 
+def solver(M):
+    """The map b -> solve(M, b), with M's column form and kernel lattice
+    built once, here."""
+    n = len(M[0]) if M else 0
+    if n == 0:
+        return lambda b: None if any(b) else []
+    H, U, K = _column_form(M)
+    image, kernel = Lattice(len(M), H), Lattice.from_rows(n, K)
+
+    def preimage(b):
+        y = image.coordinates(b)
+        return None if y is None else list(
+            kernel.reduce([sum(c * u[j] for c, u in zip(y, U)) for j in range(n)]))
+    return preimage
+
+
 def solve(M, b):
     """The integer solution a of M a = b reduced modulo the kernel lattice,
     or None. M acts on column vectors.
@@ -204,18 +220,9 @@ def solve(M, b):
     means there is no solution. The solutions form one coset of the kernel,
     and kernel.reduce returns its canonical representative, whichever
     elimination found it."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if len(b) != m:
+    if len(b) != len(M):
         raise ValidationError("dimension mismatch in solve")
-    if n == 0:
-        return [] if all(x == 0 for x in b) else None
-    H, U, K = _column_form(M)
-    y = Lattice(m, H).coordinates(b)
-    if y is None:
-        return None
-    a = [sum(c * u[j] for c, u in zip(y, U)) for j in range(n)]
-    return list(Lattice.from_rows(n, K).reduce(a))
+    return solver(M)(b)
 
 
 def inverse_unimodular(M):

@@ -2,9 +2,10 @@
 orbit enumeration, depth scanning, the central pullback reduction, and
 quotients by central subgroups.
 
-Depth scans refine blocks of elements into twisted classes, kernel by
-kernel, over the kernels of prime-power order only; congruence_kernels
-proves that depth stays exact over every stable diagonal kernel.
+Depth scans reduce blocks of elements to one element per twisted class
+by canonical forms, then refine them kernel by kernel, over the kernels
+of prime-power order only; congruence_kernels proves that depth stays
+exact over every stable diagonal kernel.
 
 Two power-subgroup notions coexist deliberately. The stable diagonal
 kernels include the level-m one (subgroups.power_subgroup: basis m-th
@@ -25,8 +26,7 @@ from . import lattice as lin
 from .malcev import (MalcevPresentation, GroupHom, breadth_first, compose_with_inner,
                      verify_hom, verify_presentation)
 from .subgroups import InducedSequence, diagonal_kernel, power_subgroup
-from .twisted import (TwistedWitness, blackburn_constants, center,
-                      is_twisted_conjugate, twisted_chain, _vp)
+from .twisted import blackburn_constants, canonical_form, center, twisted_chain, _vp
 
 DEFAULT_ORDER_BUDGET = 5000
 CENTRAL_QUOTIENT_STEPS = 20
@@ -231,27 +231,34 @@ def depth_scan(pres, phi, blocks, order_budget, modulus_budget=None):
     in one pass over the stable diagonal kernels of prime-power order, in
     increasing order: exact over all of them (congruence_kernels).
 
-    Each block is refined into parts. A part is decided when it is created:
-    if its first element is twisted conjugate to all the others, it is one
-    class and is dropped. At a kernel a live part peels off the elements
+    Each block is first reduced to the first element of each twisted
+    class, in block order, by one canonical form per element
+    (twisted.canonical_form); no part is ever decided. Depth depends only
+    on the two classes and is symmetric, so the first maximal pair of a
+    block is a pair of first elements: replacing either element of a pair
+    by the first of its class, and reordering, never gives a later pair.
+    The representatives are pairwise non-conjugate, so every part of two or
+    more is still to be split. At a kernel a part peels off the elements
     labelled like its first element, the only orbit searched, and repeats
-    on the rest; pairs split apart have the kernel's order as depth. A split
-    into P_1..P_k is re-checked by sifting in a fresh quotient: for i < k
-    the class of P_i's first element holds P_i and none of P_(i+1)..P_k.
+    on the rest; pairs split apart have the kernel's order as depth, and a
+    piece of one element is finished. A split into P_1..P_k is re-checked
+    by sifting in a fresh quotient: for i < k the class of P_i's first
+    element holds P_i and none of P_(i+1)..P_k.
 
     Per block: order, moduli and witness (first pair in block order) of the
     deepest split; conjugate when it is one class; budget_exhausted when a
-    live part is left. modulus_budget caps every single modulus."""
+    part is left. Forms that split a class could only leave it in one part,
+    since orbit labels are exact: budget_exhausted, never a wrong depth.
+    modulus_budget caps every single modulus."""
     for name, budget in (("order", order_budget), ("modulus", modulus_budget)):
         if budget is not None and budget < 1:
             raise ValidationError(f"{name} budget must be at least 1, got {budget}")
     blocks = [[pres.check_element(g) for g in block] for block in blocks]
-
-    def live(block, part):  # not one class: part[0] is not conjugate to all the others
-        return any(not isinstance(is_twisted_conjugate(pres, phi, block[part[0]], block[i]),
-                                  TwistedWitness) for i in part[1:])
-
-    parts = [(b, range(len(bl))) for b, bl in enumerate(blocks) if live(bl, range(len(bl)))]
+    firsts = [{} for _ in blocks]   # canonical form -> index of its class's first element
+    for first, block in zip(firsts, blocks):
+        for i, g in enumerate(block):
+            first.setdefault(canonical_form(pres, phi, g)[1], i)
+    parts = [(b, list(first.values())) for b, first in enumerate(firsts) if len(first) > 1]
     best = {}   # block -> (order, witness indices, moduli)
     for order, vec, kernel in congruence_kernels(pres, order_budget) if parts else ():
         if modulus_budget is not None and max(vec) > modulus_budget:
@@ -277,7 +284,7 @@ def depth_scan(pres, phi, blocks, order_budget, modulus_budget=None):
                     raise ValidationError("separation re-check failed")
             new = (order, (part[0], pieces[1][0]), vec)   # the first pair split here
             best[b] = min(best.get(b, new), new, key=lambda r: (-r[0], r[1]))  # deepest first
-            still += [(b, p) for p in pieces if live(block, p)]
+            still += [(b, p) for p in pieces if len(p) > 1]
         parts = still
         if not parts:
             break

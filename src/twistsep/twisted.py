@@ -11,6 +11,7 @@ deformed elements.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 from .errors import PreconditionError, TwistsepError, ValidationError
@@ -36,11 +37,11 @@ class ChainLevel:
     image: lin.Lattice            # image lattice of psi in the layer
     determinant: int              # isolator index of the image
 
-    def preimage(self, target):
-        """Coefficients on the generators whose psi value is target, or None."""
-        if not self.psi_rows:
-            return None if any(target) else []
-        return lin.solve(lin.transpose(self.psi_rows), target)
+    @cached_property
+    def preimage(self):
+        """target -> the coefficients on the generators whose psi value is
+        target, or None; built on first use, once per level."""
+        return lin.solver(lin.transpose(self.psi_rows))
 
 
 class TwistedChain:
@@ -52,10 +53,7 @@ class TwistedChain:
     Levels are built on demand: level(i) builds N_i and its psi rows, and
     N_{i+1} is closed from level i's kernel only when level i+1 or fixed
     is read. levels, fixed, determinants and norm_report force the whole
-    chain. An inner automorphism acts trivially on every layer
-    gamma_i/gamma_{i+1}, so Inn(x) o phi has phi's psi_1 and hence phi's
-    N_2; is_twisted_conjugate seeds its one chain's N_2 from phi's chain,
-    exactly, since equal subgroups have equal canonical sequences."""
+    chain."""
 
     def __init__(self, pres, maps):
         if isinstance(maps, GroupHom):
@@ -137,16 +135,31 @@ class TwistedChain:
 
 
 def twisted_chain(pres, phi):
-    """The chain for a single automorphism, cached on the presentation by
-    the tuple of generator images (chains are pure functions of those)."""
+    """The chain for a single automorphism, memoised on the presentation by
+    the tuple of generator images (chains are pure functions of those). The
+    memo holds 512 chains; a new one evicts the oldest."""
     cache = pres.__dict__.setdefault("_chain_cache", {})
     key = tuple(phi.images)
     hit = cache.get(key)
     if hit is None:
-        hit = TwistedChain(pres, phi)
-        if len(cache) < 512:
-            cache[key] = hit
+        if len(cache) >= 512:
+            del cache[next(iter(cache))]
+        hit = cache[key] = TwistedChain(pres, phi)
     return hit
+
+
+def _twist_level(pres, phi, g, w):
+    """Level w of the chain of phi_g = Inn(g) o phi. An inner automorphism
+    acts trivially on every layer gamma_i/gamma_(i+1), so phi_g has phi's
+    psi_1 and hence phi's N_2: level 1, and every level when g is the
+    identity, is read from phi's chain, and phi_g's N_2 is seeded from it,
+    exactly, since equal subgroups have equal canonical sequences."""
+    base = twisted_chain(pres, phi)
+    if w == 1 or not any(g):
+        return base.level(w)
+    chain = twisted_chain(pres, compose_with_inner(pres, phi, g))
+    chain._seqs.setdefault(2, base.subgroup(2))
+    return chain.level(w)
 
 
 def center(pres):
@@ -199,40 +212,87 @@ class NotTwistedConjugate:
     image_rows: list
 
 
-def is_twisted_conjugate(pres, phi, x, y):
-    """Decide x ~_phi y. Returns a TwistedWitness (verified exactly) or a
-    NotTwistedConjugate certificate.
+def _walk(pres, phi, x, y=None):
+    """The one layer loop of is_twisted_conjugate and canonical_form. It
+    builds a conjugator u, with cur = u x phi(u)^-1, through the layers
+    w = 1..c, each step solving for a preimage of the layer's target in
+    level w of a twist's chain (_twist_level). A layer whose coordinates
+    are zero reads no level, and a zero target costs no solve.
 
-    z x phi(z)^-1 = y exactly when z phi_x(z)^-1 = y x^-1, for the one twist
-    phi_x = Inn(x) o phi. At the weight w of the residual d = y x^-1, z must
-    lie in N_w(phi_x) with psi_w(z) = d's layer-w coordinates, an exact
-    lattice condition; any such z leaves z^-1 d phi_x(z) in gamma_{w+1}, and
-    any other differs by N_{w+1}(phi_x), which changes no later verdict.
-    """
-    p = pres
-    x = p.check_element(x)
-    y = p.check_element(y)
-    phi_x = compose_with_inner(p, phi, x)
-    chain = twisted_chain(p, phi_x)
-    chain._seqs.setdefault(2, twisted_chain(p, phi).subgroup(2))  # = N_2(phi_x)
-    d = p.mult(y, p.inv(x))
-    witness = p.identity
-    for _ in range(p.nilpotency_class + 1):
-        if d == p.identity:
-            w = TwistedWitness(witness, x, y)
-            if not w.verify(p, phi):
-                raise TwistsepError("internal witness verification failed")
-            return w
-        wt = p.weight_of(d)
-        lv = chain.level(wt)
-        target = list(p.layer_coords(d, wt))
+    Towards y: z x phi(z)^-1 = y exactly when z phi_x(z)^-1 = y x^-1, for
+    the one twist phi_x = Inn(x) o phi. The target is the layer-w part of
+    the residual y cur^-1. A step takes z in N_w(phi_x) with psi_w(z) the
+    target, an exact lattice condition, and sets u <- u z. Then g = u z u^-1
+    lies in N_w of cur's twist phi_cur = Inn(u) o phi_x o Inn(u)^-1 with the
+    same psi value, as conjugation fixes the layer, and g cur phi(g)^-1 =
+    u z x phi(u z)^-1: the step keeps cur's layers below w and adds the
+    target to its layer w, which cancels the residual's. Any other solution
+    differs by N_(w+1)(phi_x), which changes no later verdict, so a target
+    outside the psi_w image gives a NotTwistedConjugate certificate. The
+    residual is the one of the decision that steps by z^-1 d phi_x(z) from
+    d = y x^-1, conjugated by u, so the same z is taken at every layer. The
+    walk ends at cur = y and returns the witness u.
+
+    Without y, the target takes cur's layer-w coordinates t to
+    L_w.reduce(t), for L_w the psi_w image of phi_cur, and a step takes z
+    in N_w(phi_cur) with psi_w(z) the target and sets u <- z u; the walk
+    returns (u, cur). Level w of phi_cur's chain is read from the chain of
+    cur cut to its coordinates of weight below w, which are canonical by
+    then, so every element of a class shares it. The cut keeps the level:
+    for h in gamma_w, Inn(g h) o phi = Inn(k) o phi_g with k = g h g^-1 in
+    gamma_w, and Inn(k) moves every element by a factor in gamma_(w+1), so
+    the displacements b phi_g(b)^-1 and b phi_gh(b)^-1 agree modulo
+    gamma_(w+1), and with them N_i and psi_i for every i <= w."""
+    p, u, cur = pres, pres.identity, x
+    for w in range(1, p.nilpotency_class + 1):
+        e = cur if y is None else p.mult(y, p.inv(cur))
+        t = [e[i] for i in p.layer_indices(w)]
+        if not any(t):  # nothing to reduce or cancel, so the level is not read
+            continue
+        if y is None:
+            lv = _twist_level(p, phi, tuple(a if wt < w else 0
+                                            for a, wt in zip(cur, p.weights)), w)
+            target = [r - a for r, a in zip(lv.image.reduce(t), t)]
+        else:
+            lv, target = _twist_level(p, phi, x, w), t
+        if not any(target):
+            continue
         v = lv.preimage(target)
         if v is None:
-            return NotTwistedConjugate(wt, lv.image.reduce(target), lv.image.rows)
+            return NotTwistedConjugate(w, lv.image.reduce(target), lv.image.rows)
         z = _realize_class(p, lv.seq.generators(), v)
-        d = p.mult(p.mult(p.inv(z), d), phi_x.apply(z))
-        witness = p.mult(witness, z)
-    raise TwistsepError("twisted conjugacy recursion did not terminate")
+        u = p.mult(z, u) if y is None else p.mult(u, z)
+        cur = p.mult(p.mult(u, x), p.inv(phi.apply(u)))
+    return (u, cur) if y is None else TwistedWitness(u, x, y)
+
+
+def is_twisted_conjugate(pres, phi, x, y):
+    """Decide x ~_phi y by the walk towards y (_walk). Returns a
+    TwistedWitness (verified exactly) or a NotTwistedConjugate certificate."""
+    res = _walk(pres, phi, pres.check_element(x), pres.check_element(y))
+    if isinstance(res, TwistedWitness) and not res.verify(pres, phi):
+        raise TwistsepError("internal witness verification failed")
+    return res
+
+
+def canonical_form(pres, phi, x):
+    """(u, form) with form = u x phi(u)^-1 the canonical representative of
+    x's twisted class: form(x) = form(y) exactly when x ~_phi y, and then
+    u_y^-1 u_x is a witness. The walk without y reduces cur layer by layer.
+
+    Proof. Let e be a class element. The class elements that agree with e
+    on the layers below w are the g e phi(g)^-1 = g phi_e(g)^-1 e for g in
+    N_w(phi_e), and as g phi_e(g)^-1 lies in gamma_w, their layer-w
+    coordinates fill t + L_w, for t those of e and L_w the psi_w image of
+    phi_e's chain. The walk's step at w is such a g, so it keeps the layers
+    below w and takes t to L_w.reduce(t), the one representative of
+    t + L_w. L_w is a class invariant: the twist of g e phi(g)^-1 is
+    Inn(g) o phi_e o Inn(g)^-1, whose N_w is g N_w(phi_e) g^-1, and
+    conjugation fixes the layer, so psi_w(g h g^-1) = psi_w(h). So two
+    class elements that agree below w reduce to the same layer-w
+    coordinates, and by induction on w they reach the same form; elements
+    of different classes cannot, since each is conjugate to its form."""
+    return _walk(pres, phi, pres.check_element(x))
 
 
 def bounded_witness(pres, phi, y):

@@ -351,21 +351,24 @@ def test_budgets_below_one_are_refused(budgets, name):
 
 @pytest.mark.parametrize("merge", [False, True], ids=["split", "merge"])
 def test_wrong_labels_of_later_elements_fail_the_recheck(monkeypatch, merge):
-    # a, c, b are three classes and b2 is conjugate to b; the labelling is
-    # right but for b2. Split from b, b2 leaves the first part's split sound,
-    # so only the re-check of b's part can refuse it; given a's label, b2
-    # joins a's part and must be found outside a's class
+    # a, c, b are three classes and b2 is conjugate to b, so the block's
+    # representatives are a, c, b and b2 is never labelled. The labelling is
+    # right but for b. Split from a at the first kernel, of moduli (1, 2, 1),
+    # where all three share a label, b must be found inside a's class; given
+    # a's label at the next, (2, 1, 1), where c and b share a label that a
+    # lacks, b joins a's part and must be found outside a's class
     phi = identity_automorphism(H3)
-    a, c, b = (0, 0, 0), (1, 0, 0), (0, 1, 0)
-    b2 = twisted_image(H3, phi, H3.gen(0), b)
+    a, c, b = (0, 0, 0), (1, 0, 0), (-1, 0, 0)
+    b2 = twisted_image(H3, phi, H3.gen(1), b)
     assert b2 != b and is_conjugate(H3, phi, b, b2)
-    peek = quotients._OrbitLabels.peek
-    monkeypatch.setattr(quotients._OrbitLabels, "peek", lambda self, g: peek(self, g)
-                        if g != b2 else peek(self, a) if merge else "wrong")
+    peek, peeked = quotients._OrbitLabels.peek, []
+    monkeypatch.setattr(quotients._OrbitLabels, "peek", lambda self, g: peeked.append(g) or (
+        peek(self, g) if g != b else peek(self, a) if merge else "wrong"))
     enumerated = []
     projected_class = quotients.projected_class
     monkeypatch.setattr(quotients, "projected_class",
                         lambda q, f, x: enumerated.append(x) or projected_class(q, f, x))
     with pytest.raises(ValidationError, match="separation re-check failed"):
         depth_scan(H3, phi, [[a, c, b, b2]], 100)
-    assert enumerated[-1] == (a if merge else b)
+    assert enumerated[-1] == a
+    assert b in peeked and b2 not in peeked

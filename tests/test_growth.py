@@ -12,11 +12,13 @@ from twistsep.growth import (ExperimentConfig, GrowthRow, dim5_scenario,
                              heisenberg_case, heisenberg_central_pair_rows,
                              lower_bound_witnesses, measure_conj_growth)
 from twistsep.malcev import ball, compose_with_inner, identity_automorphism
+from test_twisted import ut_flip
 from twistsep.quotients import depth_scan
-from twistsep.twisted import TwistedChain, is_twisted_conjugate
+from twistsep.twisted import TwistedChain, canonical_form
 
 SEED = 20240214
 H3 = heisenberg()
+U4 = ut4()
 
 
 def test_fit_exponent_synthetic():
@@ -44,13 +46,19 @@ def test_heisenberg_case_classifier():
 
 
 def test_classifier_invariant_under_inner_twists():
+    # Inn(g) acts trivially on every layer, so Inn(g) o phi has phi's level
+    # 1 and N_2, which decisions and canonical forms read from phi's chain
+    def level_one_and_n2(chain):
+        lv = chain.level(1)
+        return lv.seq.entries, lv.psi_rows, lv.image, lv.determinant, chain.subgroup(2).entries
+
     rng = random.Random(SEED)
-    phi = heisenberg_automorphism(H3, [[0, 1], [1, 0]], e=1)
-    base = TwistedChain(H3, phi).subgroup(2).entries
-    for _ in range(50):
-        g = tuple(rng.randint(-6, 6) for _ in range(3))
-        twisted = compose_with_inner(H3, phi, g)
-        assert TwistedChain(H3, twisted).subgroup(2).entries == base
+    for pres, phi in [(H3, heisenberg_automorphism(H3, [[0, 1], [1, 0]], e=1)),
+                      (U4, ut_flip(U4))]:
+        base = level_one_and_n2(TwistedChain(pres, phi))
+        for _ in range(50):
+            g = tuple(rng.randint(-6, 6) for _ in range(pres.h))
+            assert level_one_and_n2(TwistedChain(pres, compose_with_inner(pres, phi, g))) == base
 
 
 def test_central_pair_rows_and_fit():
@@ -95,11 +103,11 @@ def test_exhaustive_growth_row_is_one_block(monkeypatch):
     # the first maximal ordered pair as witness
     fam = [("id", identity_automorphism(H3)),
            ("A", heisenberg_automorphism(H3, [[2, 1], [1, 1]]))]
-    scanned, decisions = [], []
+    scanned, forms = [], []
     monkeypatch.setattr(growth, "depth_scan", lambda p, phi, blocks, budget:
                         scanned.append(blocks) or depth_scan(p, phi, blocks, budget))
-    monkeypatch.setattr(quotients, "is_twisted_conjugate", lambda *args:
-                        decisions.append(args) or is_twisted_conjugate(*args))
+    monkeypatch.setattr(quotients, "canonical_form", lambda p, phi, g:
+                        forms.append(g) or canonical_form(p, phi, g))
     rows = measure_conj_growth(ExperimentConfig(H3, fam, [1, 2], order_budget=200))
     monkeypatch.undo()
     expected, balls = [], []
@@ -117,8 +125,8 @@ def test_exhaustive_growth_row_is_one_block(monkeypatch):
     assert scanned == balls
     assert rows == expected
     assert all(r.depth > 0 for r in rows)
-    # one decision per new part, far below the 2 * (10 + 136) pairs
-    assert len(decisions) < sum(len(b[0]) for b in balls)
+    # one canonical form per element of each ball, and no decision
+    assert forms == [g for b in balls for g in b[0]]
 
 
 @pytest.mark.parametrize("pres, n, depth, witness, moduli", [

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistsep import lattice
 from twistsep.errors import PreconditionError
 from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
                              heisenberg_automorphism, ut4)
@@ -11,7 +12,7 @@ from twistsep.malcev import (GroupHom, ball, compose_with_inner, identity_automo
 from twistsep.subgroups import InducedSequence, power_subgroup
 from twistsep.twisted import (NotTwistedConjugate, TwistedChain, TwistedWitness,
                               blackburn_constants, blackburn_root,
-                              bounded_witness, center, fixed_subgroup,
+                              bounded_witness, canonical_form, center, fixed_subgroup,
                               is_twisted_conjugate, psi, solve_power_twisted,
                               twisted_chain, twisted_determinant, twisted_subgroup)
 from test_malcev import U5
@@ -24,6 +25,7 @@ ID_H3 = identity_automorphism(H3)
 CASE1 = heisenberg_automorphism(H3, [[2, 1], [1, 1]])
 CASE2 = heisenberg_automorphism(H3, [[0, 1], [1, 0]])
 PHI5 = dim5_automorphism(D5)
+U4 = ut4()
 
 
 def random_member(pres, seq, rng, size=4):
@@ -93,7 +95,6 @@ def ut_sign(pres):
 
 
 F4 = free_abelian(4)
-U4 = ut4()
 BUILTIN_MAPS = [
     (H3, CASE2), (D5, PHI5),
     (F4, GroupHom(F4, F4, [(1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)])),
@@ -519,3 +520,77 @@ def test_decision_vs_brute_force_dim5():
             assert word_length_upper(D5, res.z) > 6
         else:
             assert not brute
+
+
+def test_chain_memo_evicts_the_oldest():
+    pres = heisenberg()  # a fresh presentation, so the memo starts empty
+    twists = [compose_with_inner(pres, ID_H3, (k, 0, 0)) for k in range(600)]
+    chains = [twisted_chain(pres, phi) for phi in twists]
+    assert len(pres._chain_cache) == 512
+    assert twisted_chain(pres, twists[-1]) is chains[-1]
+    assert twisted_chain(pres, twists[0]) is not chains[0]
+
+
+def test_preimage_elimination_runs_once_on_first_use(monkeypatch):
+    # a level read only to close the next subgroup builds no solver
+    forms = []
+    column_form = lattice._column_form
+    monkeypatch.setattr(lattice, "_column_form",
+                        lambda M: forms.append(1) or column_form(M))
+    chain = TwistedChain(U4, ut_flip(U4))
+    chain.fixed
+    assert all("preimage" not in lv.__dict__ for lv in chain.levels)
+    lv, targets = chain.level(2), ([0, 0], [2, 2], [2, 2])
+    expected = [lattice.solve(lattice.transpose(lv.psi_rows), t) for t in targets]
+    del forms[:]
+    assert [lv.preimage(t) for t in targets] == expected
+    assert len(forms) == 1
+
+
+@pytest.mark.parametrize("pres, phi", [
+    (H3, CASE1), (U4, identity_automorphism(U4)), (U4, ut_flip(U4)), (U4, ut_sign(U4)),
+    (D5, PHI5)], ids=["H3-A", "ut4-id", "ut4-flip", "ut4-sign", "dim5"])
+def test_twist_levels_depend_on_the_twist_below_their_layer(pres, phi):
+    # levels 1..w of Inn(g) o phi are those of Inn(g h) o phi for h in gamma_w
+    rng = random.Random(SEED + 31)
+    for w in range(1, pres.nilpotency_class + 1):
+        for _ in range(6):
+            g = tuple(rng.randint(-3, 3) for _ in range(pres.h))
+            h = tuple(rng.randint(-3, 3) if wt >= w else 0 for wt in pres.weights)
+            a, b = (TwistedChain(pres, compose_with_inner(pres, phi, t))
+                    for t in (g, pres.mult(g, h)))
+            for i in range(1, w + 1):
+                la, lb = a.level(i), b.level(i)
+                assert (la.seq.entries, la.psi_rows, la.image) == \
+                    (lb.seq.entries, lb.psi_rows, lb.image)
+
+
+FORM_CASES = [(H3, ID_H3), (H3, CASE1), (H3, CASE2),
+              (H3, heisenberg_automorphism(H3, [[1, 1], [0, 1]])),
+              (U4, identity_automorphism(U4)), (U4, ut_flip(U4)), (U4, ut_sign(U4)),
+              (D5, identity_automorphism(D5)), (D5, PHI5)]
+
+
+def test_canonical_forms_decide_twisted_conjugacy():
+    # 5,040 seeded pairs, half built conjugate, the rest shifted by a random
+    # element of gamma_2: equal forms exactly when the decision finds a
+    # witness, u x phi(u)^-1 is the form, and a form is its own form
+    rng = random.Random(SEED + 37)
+    verdicts = {True: 0, False: 0}
+    for pres, phi in FORM_CASES:
+        for k in range(560):
+            x, z = (tuple(rng.randint(-3, 3) for _ in range(pres.h)) for _ in range(2))
+            y = pres.mult(pres.mult(z, x), pres.inv(phi.apply(z)))
+            if k % 2:
+                y = pres.mult(y, tuple(rng.randint(-2, 2) if w > 1 else 0
+                                       for w in pres.weights))
+            (ux, fx), (uy, fy) = canonical_form(pres, phi, x), canonical_form(pres, phi, y)
+            conjugate = isinstance(is_twisted_conjugate(pres, phi, x, y), TwistedWitness)
+            assert (fx == fy) == conjugate
+            verdicts[conjugate] += 1
+            for u, g, f in ((ux, x, fx), (uy, y, fy)):
+                assert pres.mult(pres.mult(u, g), pres.inv(phi.apply(u))) == f
+                assert canonical_form(pres, phi, f)[1] == f
+            if conjugate:
+                assert TwistedWitness(pres.mult(pres.inv(uy), ux), x, y).verify(pres, phi)
+    assert sum(verdicts.values()) >= 5000 and min(verdicts.values()) >= 1000, verdicts
