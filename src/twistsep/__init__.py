@@ -13,7 +13,7 @@ from .groups import dim5, dim5_automorphism, free_abelian, heisenberg, \
 from .subgroups import InducedSequence, power_subgroup
 from .twisted import (TwistedChain, TwistedWitness, blackburn_constants,
                       blackburn_root, bounded_witness, canonical_form, center,
-                      is_twisted_conjugate, psi, solve_power_twisted,
+                      is_twisted_conjugate, psi, solve_power_twisted, twist_level,
                       twisted_chain, twisted_determinant, twisted_subgroup)
 from .quotients import (FiniteQuotient, congruence_depth, congruence_quotient,
                         depth_scan, full_power_subgroup, induced_automorphism,

@@ -22,7 +22,7 @@ from .malcev import (automorphism_norm, ball_with_distances, compose_with_inner,
                      word_length_upper)
 from .groups import dim5, dim5_automorphism, heisenberg
 from .quotients import congruence_depth, depth_scan, one_dim_central_quotient
-from .twisted import _twist_level, canonical_form, twisted_chain
+from .twisted import canonical_form, twist_level, twisted_chain
 
 DEFAULT_SEED = 20240214
 CENTRAL_PAIR_ORDER_BUDGET = 200
@@ -175,7 +175,7 @@ def heisenberg_case(pres, phi, samples=50, seed=DEFAULT_SEED):
         rng = random.Random(seed)
         twists = (tuple(rng.randint(-8, 8) for _ in range(3)) for _ in range(samples))
         report["uniform_witness_z2"] = all(
-            _twist_level(pres, phi, X, 2).image.contains([2]) for X in twists)
+            twist_level(pres, phi, X, 2).image.contains([2]) for X in twists)
     return report
 
 
@@ -283,7 +283,7 @@ def dim5_scenario(samples=50, max_norm=40, seed=DEFAULT_SEED, growth_radii=(1, 2
         xs += [_random_word_element(p, gens, n, rng) for _ in range(3)]
         worst = 0
         for x in xs:
-            image = _twist_level(p, phi, x, 2).image
+            image = twist_level(p, phi, x, 2).image
             bound = 0
             for row in image.rows:
                 el = p.from_layer_coords(row, 2)

@@ -199,16 +199,10 @@ def solver(M):
     """The map b -> solve(M, b), with M's column form and kernel lattice
     built once, here."""
     n = len(M[0]) if M else 0
-    if n == 0:
-        return lambda b: None if any(b) else []
     H, U, K = _column_form(M)
     image, kernel = Lattice(len(M), H), Lattice.from_rows(n, K)
-
-    def preimage(b):
-        y = image.coordinates(b)
-        return None if y is None else list(
-            kernel.reduce([sum(c * u[j] for c, u in zip(y, U)) for j in range(n)]))
-    return preimage
+    return lambda b: None if (y := image.coordinates(b)) is None else list(
+        kernel.reduce([sum(c * u[j] for c, u in zip(y, U)) for j in range(n)]))
 
 
 def solve(M, b):

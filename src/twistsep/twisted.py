@@ -140,15 +140,14 @@ def twisted_chain(pres, phi):
     memo holds 512 chains; a new one evicts the oldest."""
     cache = pres.__dict__.setdefault("_chain_cache", {})
     key = tuple(phi.images)
-    hit = cache.get(key)
-    if hit is None:
+    if key not in cache:
         if len(cache) >= 512:
             del cache[next(iter(cache))]
-        hit = cache[key] = TwistedChain(pres, phi)
-    return hit
+        cache[key] = TwistedChain(pres, phi)
+    return cache[key]
 
 
-def _twist_level(pres, phi, g, w):
+def twist_level(pres, phi, g, w):
     """Level w of the chain of phi_g = Inn(g) o phi. An inner automorphism
     acts trivially on every layer gamma_i/gamma_(i+1), so phi_g has phi's
     psi_1 and hence phi's N_2: level 1, and every level when g is the
@@ -216,7 +215,7 @@ def _walk(pres, phi, x, y=None):
     """The one layer loop of is_twisted_conjugate and canonical_form. It
     builds a conjugator u, with cur = u x phi(u)^-1, through the layers
     w = 1..c, each step solving for a preimage of the layer's target in
-    level w of a twist's chain (_twist_level). A layer whose coordinates
+    level w of a twist's chain (twist_level). A layer whose coordinates
     are zero reads no level, and a zero target costs no solve.
 
     Towards y: z x phi(z)^-1 = y exactly when z phi_x(z)^-1 = y x^-1, for
@@ -249,30 +248,26 @@ def _walk(pres, phi, x, y=None):
         t = [e[i] for i in p.layer_indices(w)]
         if not any(t):  # nothing to reduce or cancel, so the level is not read
             continue
-        if y is None:
-            lv = _twist_level(p, phi, tuple(a if wt < w else 0
-                                            for a, wt in zip(cur, p.weights)), w)
-            target = [r - a for r, a in zip(lv.image.reduce(t), t)]
-        else:
-            lv, target = _twist_level(p, phi, x, w), t
-        if not any(target):
-            continue
-        v = lv.preimage(target)
-        if v is None:
-            return NotTwistedConjugate(w, lv.image.reduce(target), lv.image.rows)
+        if y is not None:  # the target is t
+            lv = twist_level(p, phi, x, w)
+        else:  # the target takes t to L_w.reduce(t), on the chain of cur cut below w
+            lv = twist_level(p, phi, tuple(a if wt < w else 0 for a, wt in zip(cur, p.weights)), w)
+            if not any(t := [r - a for r, a in zip(lv.image.reduce(t), t)]):
+                continue
+        if (v := lv.preimage(t)) is None:
+            return NotTwistedConjugate(w, lv.image.reduce(t), lv.image.rows)
         z = _realize_class(p, lv.seq.generators(), v)
-        u = p.mult(z, u) if y is None else p.mult(u, z)
+        u = p.mult(u, z) if y is not None else p.mult(z, u)
         cur = p.mult(p.mult(u, x), p.inv(phi.apply(u)))
+    if y is not None and cur != y:  # cur is u x phi(u)^-1, so this verifies the witness
+        raise TwistsepError("internal witness verification failed")
     return (u, cur) if y is None else TwistedWitness(u, x, y)
 
 
 def is_twisted_conjugate(pres, phi, x, y):
     """Decide x ~_phi y by the walk towards y (_walk). Returns a
     TwistedWitness (verified exactly) or a NotTwistedConjugate certificate."""
-    res = _walk(pres, phi, pres.check_element(x), pres.check_element(y))
-    if isinstance(res, TwistedWitness) and not res.verify(pres, phi):
-        raise TwistsepError("internal witness verification failed")
-    return res
+    return _walk(pres, phi, pres.check_element(x), pres.check_element(y))
 
 
 def canonical_form(pres, phi, x):

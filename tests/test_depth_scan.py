@@ -372,3 +372,22 @@ def test_wrong_labels_of_later_elements_fail_the_recheck(monkeypatch, merge):
         depth_scan(H3, phi, [[a, c, b, b2]], 100)
     assert enumerated[-1] == a
     assert b in peeked and b2 not in peeked
+
+
+def test_a_wrong_split_fails_the_recheck_of_a_later_piece(monkeypatch):
+    # a, c, b are three classes. At the kernel of moduli (2, 1, 1) c and b
+    # share a label that a lacks; there b alone is labelled wrong, so the
+    # pieces are [a], [c], [b]. a's piece is sound, and only the re-check of
+    # c's piece, the second, can find b inside c's class
+    phi = identity_automorphism(H3)
+    a, c, b = (0, 0, 0), (1, 0, 0), (-1, 0, 0)
+    peek = quotients._OrbitLabels.peek
+    monkeypatch.setattr(quotients._OrbitLabels, "peek", lambda self, g: "wrong"
+                        if g == b and self.canon(a) != self.canon(b) else peek(self, g))
+    enumerated = []
+    projected_class = quotients.projected_class
+    monkeypatch.setattr(quotients, "projected_class",
+                        lambda q, f, x: enumerated.append(x) or projected_class(q, f, x))
+    with pytest.raises(ValidationError, match="separation re-check failed"):
+        depth_scan(H3, phi, [[a, c, b]], 100)
+    assert enumerated == [a, c]
