@@ -480,7 +480,10 @@ def inner_automorphism(p, x):
 
 
 def compose_with_inner(p, phi, x):
-    """Inn(x) o phi, the twist entering nearly-twisted-conjugacy reductions."""
+    """Inn(x) o phi, the twist entering nearly-twisted-conjugacy reductions;
+    phi itself when x is the identity."""
+    if not any(x):
+        return phi
     x_inv = p.inv(x)
     return GroupHom(p, p, [p.mult(p.mult(x, a), x_inv) for a in phi.images])
 

@@ -43,6 +43,22 @@ class ChainLevel:
         target, or None; built on first use, once per level."""
         return lin.solver(lin.transpose(self.psi_rows))
 
+    @cached_property
+    def next_subgroup(self):
+        """N_(i+1): the kernel of the stacked psi map of this level i, closed
+        under commutators and conjugation by N_i; built on first use."""
+        p = self.seq.pres
+        gens = self.seq.generators()
+        t = len(gens)
+        kern = lin.kernel_basis(lin.transpose(self.psi_rows))
+        new_gens = [_realize_class(p, gens, v) for v in kern.rows]
+        for a in range(t):
+            for b in range(a + 1, t):
+                cgen = p.comm(gens[a], gens[b])
+                if any(cgen):
+                    new_gens.append(cgen)
+        return InducedSequence.from_generators(p, new_gens, conjugators=gens)
+
 
 class TwistedChain:
     """The descending chain N_1 >= N_2 >= ... >= N_{c+1} for one or several
@@ -80,21 +96,6 @@ class TwistedChain:
         image = lin.Lattice.from_rows(r * len(self.maps), rows)
         return ChainLevel(level, seq, rows, image, lin.isolator_index(image))
 
-    def _close_kernel(self, lv):
-        """N_{i+1}: the kernel of the stacked psi map of level i, closed
-        under commutators and conjugation by N_i."""
-        p = self.pres
-        gens = lv.seq.generators()
-        t = len(gens)
-        kern = lin.kernel_basis(lin.transpose(lv.psi_rows))
-        new_gens = [_realize_class(p, gens, v) for v in kern.rows]
-        for a in range(t):
-            for b in range(a + 1, t):
-                cgen = p.comm(gens[a], gens[b])
-                if any(cgen):
-                    new_gens.append(cgen)
-        return InducedSequence.from_generators(p, new_gens, conjugators=gens)
-
     def level(self, i):
         if not 1 <= i <= self.pres.nilpotency_class:
             raise ValidationError("chain level out of range")
@@ -105,7 +106,7 @@ class TwistedChain:
     def subgroup(self, i):
         """N_i as an induced sequence; i may be c+1 for the fixed subgroup."""
         if i not in self._seqs:
-            self._seqs[i] = self._close_kernel(self.level(i - 1))
+            self._seqs[i] = self.level(i - 1).next_subgroup
         return self._seqs[i]
 
     @property
@@ -148,16 +149,16 @@ def twisted_chain(pres, phi):
 
 
 def twist_level(pres, phi, g, w):
-    """Level w of the chain of phi_g = Inn(g) o phi. An inner automorphism
-    acts trivially on every layer gamma_i/gamma_(i+1), so phi_g has phi's
-    psi_1 and hence phi's N_2: level 1, and every level when g is the
-    identity, is read from phi's chain, and phi_g's N_2 is seeded from it,
-    exactly, since equal subgroups have equal canonical sequences."""
-    base = twisted_chain(pres, phi)
-    if w == 1 or not any(g):
-        return base.level(w)
+    """Level w of the chain of phi_g = Inn(g) o phi, read from the chain of
+    g cut to its coordinates of weight below w (_walk has the cut lemma).
+    That chain's N_w is seeded from level w - 1 read for g cut below w - 1:
+    the two cuts differ by h in gamma_(w-1), so their chains share N_i and
+    psi_i for i <= w - 1, hence N_w, exactly, since equal subgroups have
+    equal canonical sequences. Level 1 is phi's."""
+    g = tuple(a if wt < w else 0 for a, wt in zip(g, pres.weights))
     chain = twisted_chain(pres, compose_with_inner(pres, phi, g))
-    chain._seqs.setdefault(2, base.subgroup(2))
+    if w not in chain._seqs:
+        chain._seqs[w] = twist_level(pres, phi, g, w - 1).next_subgroup
     return chain.level(w)
 
 
@@ -212,52 +213,42 @@ class NotTwistedConjugate:
 
 
 def _walk(pres, phi, x, y=None):
-    """The one layer loop of is_twisted_conjugate and canonical_form. It
-    builds a conjugator u, with cur = u x phi(u)^-1, through the layers
-    w = 1..c, each step solving for a preimage of the layer's target in
-    level w of a twist's chain (twist_level). A layer whose coordinates
-    are zero reads no level, and a zero target costs no solve.
+    """The one layer loop of canonical_form and is_twisted_conjugate. It
+    builds u, with cur = u x phi(u)^-1, through the layers w = 1..c. At w,
+    with t cur's layer-w coordinates and L_w the psi_w image of cur's twist,
+    it aims at a goal: L_w.reduce(t) for a form, y's layer-w coordinates
+    for a decision. A step takes z in N_w with psi_w(z) = goal - t and sets
+    u <- z u, so cur keeps its layers below w and reaches the goal at w.
+    A zero layer of a form, and a decision's layer already at its goal,
+    read no level.
 
-    Towards y: z x phi(z)^-1 = y exactly when z phi_x(z)^-1 = y x^-1, for
-    the one twist phi_x = Inn(x) o phi. The target is the layer-w part of
-    the residual y cur^-1. A step takes z in N_w(phi_x) with psi_w(z) the
-    target, an exact lattice condition, and sets u <- u z. Then g = u z u^-1
-    lies in N_w of cur's twist phi_cur = Inn(u) o phi_x o Inn(u)^-1 with the
-    same psi value, as conjugation fixes the layer, and g cur phi(g)^-1 =
-    u z x phi(u z)^-1: the step keeps cur's layers below w and adds the
-    target to its layer w, which cancels the residual's. Any other solution
-    differs by N_(w+1)(phi_x), which changes no later verdict, so a target
-    outside the psi_w image gives a NotTwistedConjugate certificate. The
-    residual is the one of the decision that steps by z^-1 d phi_x(z) from
-    d = y x^-1, conjugated by u, so the same z is taken at every layer. The
-    walk ends at cur = y and returns the witness u.
+    By canonical_form's proof the class elements that agree with cur below
+    w fill t + L_w at layer w, and L_w is a class invariant. y agrees with
+    cur below w, by induction, so y is reachable at w exactly when
+    goal - t lies in L_w. If not, the certificate (w, goal - t reduced
+    modulo L_w, and L_w's rows) depends only on x's class and y, as t + L_w
+    and L_w do. A decision ends at cur = y and returns the witness u.
 
-    Without y, the target takes cur's layer-w coordinates t to
-    L_w.reduce(t), for L_w the psi_w image of phi_cur, and a step takes z
-    in N_w(phi_cur) with psi_w(z) the target and sets u <- z u; the walk
-    returns (u, cur). Level w of phi_cur's chain is read from the chain of
-    cur cut to its coordinates of weight below w, which are canonical by
-    then, so every element of a class shares it. The cut keeps the level:
+    Level w of cur's twist is read from the chain of cur cut to its
+    coordinates of weight below w (twist_level). The cut keeps the level:
     for h in gamma_w, Inn(g h) o phi = Inn(k) o phi_g with k = g h g^-1 in
     gamma_w, and Inn(k) moves every element by a factor in gamma_(w+1), so
     the displacements b phi_g(b)^-1 and b phi_gh(b)^-1 agree modulo
     gamma_(w+1), and with them N_i and psi_i for every i <= w."""
     p, u, cur = pres, pres.identity, x
     for w in range(1, p.nilpotency_class + 1):
-        e = cur if y is None else p.mult(y, p.inv(cur))
-        t = [e[i] for i in p.layer_indices(w)]
-        if not any(t):  # nothing to reduce or cancel, so the level is not read
+        t, lv = tuple(cur[i] for i in p.layer_indices(w)), None
+        if y is not None:
+            goal = tuple(y[i] for i in p.layer_indices(w))
+        else:  # a zero t is reduced already, so its level is not read
+            goal = (lv := twist_level(p, phi, cur, w)).image.reduce(t) if any(t) else t
+        if goal == t:
             continue
-        if y is not None:  # the target is t
-            lv = twist_level(p, phi, x, w)
-        else:  # the target takes t to L_w.reduce(t), on the chain of cur cut below w
-            lv = twist_level(p, phi, tuple(a if wt < w else 0 for a, wt in zip(cur, p.weights)), w)
-            if not any(t := [r - a for r, a in zip(lv.image.reduce(t), t)]):
-                continue
-        if (v := lv.preimage(t)) is None:
-            return NotTwistedConjugate(w, lv.image.reduce(t), lv.image.rows)
-        z = _realize_class(p, lv.seq.generators(), v)
-        u = p.mult(u, z) if y is not None else p.mult(z, u)
+        lv = lv or twist_level(p, phi, cur, w)
+        d = [a - b for a, b in zip(goal, t)]
+        if (v := lv.preimage(d)) is None:
+            return NotTwistedConjugate(w, lv.image.reduce(d), lv.image.rows)
+        u = p.mult(_realize_class(p, lv.seq.generators(), v), u)
         cur = p.mult(p.mult(u, x), p.inv(phi.apply(u)))
     if y is not None and cur != y:  # cur is u x phi(u)^-1, so this verifies the witness
         raise TwistsepError("internal witness verification failed")

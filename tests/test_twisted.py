@@ -1,3 +1,4 @@
+from functools import cached_property
 import random
 
 import pytest
@@ -10,10 +11,10 @@ from twistsep.lattice import Lattice
 from twistsep.malcev import (GroupHom, ball, compose_with_inner, identity_automorphism,
                              inner_automorphism, verify_hom)
 from twistsep.subgroups import InducedSequence, power_subgroup
-from twistsep.twisted import (NotTwistedConjugate, TwistedChain, TwistedWitness,
+from twistsep.twisted import (ChainLevel, NotTwistedConjugate, TwistedChain, TwistedWitness,
                               blackburn_constants, blackburn_root,
                               bounded_witness, canonical_form, center, fixed_subgroup,
-                              is_twisted_conjugate, psi, solve_power_twisted,
+                              is_twisted_conjugate, psi, solve_power_twisted, twist_level,
                               twisted_chain, twisted_determinant, twisted_subgroup)
 from test_malcev import U5
 
@@ -161,29 +162,33 @@ def test_decision_closes_only_what_it_reads(monkeypatch):
     assert min(shallow.values()) >= 5, shallow
 
 
-def test_decision_builds_one_chain_for_its_twist(monkeypatch):
-    # every decision for one x reads the chain of Inn(x) o phi and seeds its
-    # N_2 from phi's chain, so 40 decisions build exactly those two chains
+def test_decisions_towards_one_y_read_its_prefix_chains(monkeypatch):
+    # a decision at layer w has cur agreeing with y below w, so it reads the
+    # chain of y cut below w: 40 decisions from different x towards one y
+    # build only the chains of phi and of y cut below 2 and 3, and close
+    # N_2 once, on phi's chain, and N_3 once, on the chain of y cut below 2
     U = ut4()  # a fresh presentation, so the chain memo starts empty
     phi = ut_flip(U)
-    builds = []
-    init = TwistedChain.__init__
+    builds, closed = [], []
+    init, close = TwistedChain.__init__, ChainLevel.next_subgroup.func
     monkeypatch.setattr(TwistedChain, "__init__",
-                        lambda self, *a: builds.append(1) or init(self, *a))
+                        lambda self, *a: builds.append(a[1].images) or init(self, *a))
+    spy = cached_property(lambda lv: closed.append(lv.level + 1) or close(lv))
+    spy.__set_name__(ChainLevel, "next_subgroup")
+    monkeypatch.setattr(ChainLevel, "next_subgroup", spy)
     rng = random.Random(SEED + 22)
-    x = (1, -2, 1, 0, 2, -1)
+    y = (1, -2, 1, 0, 2, -1)
     for k in range(40):
         w = tuple(rng.randint(-2, 2) for _ in range(6))
-        if k % 2:
-            y = U.mult(U.mult(w, x), U.inv(phi.apply(w)))
-        else:
-            y = U.mult(w, x)
+        x = U.mult(U.mult(w, y), U.inv(phi.apply(w))) if k % 2 else U.mult(w, y)
         res = is_twisted_conjugate(U, phi, x, y)
         if k % 2:
             assert isinstance(res, TwistedWitness)
         if isinstance(res, TwistedWitness):
             assert res.verify(U, phi)
-    assert len(builds) == 2
+    cuts = [tuple(a if wt < w else 0 for a, wt in zip(y, U.weights)) for w in (1, 2, 3)]
+    assert builds == [compose_with_inner(U, phi, g).images for g in cuts]
+    assert closed == [2, 3]
 
 
 def test_psi_is_homomorphism():
@@ -560,9 +565,12 @@ def test_twist_levels_depend_on_the_twist_below_their_layer(pres, phi):
             a, b = (TwistedChain(pres, compose_with_inner(pres, phi, t))
                     for t in (g, pres.mult(g, h)))
             for i in range(1, w + 1):
-                la, lb = a.level(i), b.level(i)
+                # a's level i is b's, and the one twist_level reads through the
+                # seeded prefix chains
+                la, lb, lt = a.level(i), b.level(i), twist_level(pres, phi, g, i)
                 assert (la.seq.entries, la.psi_rows, la.image) == \
-                    (lb.seq.entries, lb.psi_rows, lb.image)
+                    (lb.seq.entries, lb.psi_rows, lb.image) == \
+                    (lt.seq.entries, lt.psi_rows, lt.image)
 
 
 FORM_CASES = [(H3, ID_H3), (H3, CASE1), (H3, CASE2),
@@ -574,7 +582,8 @@ FORM_CASES = [(H3, ID_H3), (H3, CASE1), (H3, CASE2),
 def test_canonical_forms_decide_twisted_conjugacy():
     # 5,040 seeded pairs, half built conjugate, the rest shifted by a random
     # element of gamma_2: equal forms exactly when the decision finds a
-    # witness, u x phi(u)^-1 is the form, and a form is its own form
+    # witness, u x phi(u)^-1 is the form, a form is its own form, and x and
+    # its form get the same certificate towards y
     rng = random.Random(SEED + 37)
     verdicts = {True: 0, False: 0}
     for pres, phi in FORM_CASES:
@@ -585,8 +594,11 @@ def test_canonical_forms_decide_twisted_conjugacy():
                 y = pres.mult(y, tuple(rng.randint(-2, 2) if w > 1 else 0
                                        for w in pres.weights))
             (ux, fx), (uy, fy) = canonical_form(pres, phi, x), canonical_form(pres, phi, y)
-            conjugate = isinstance(is_twisted_conjugate(pres, phi, x, y), TwistedWitness)
+            res = is_twisted_conjugate(pres, phi, x, y)
+            conjugate = isinstance(res, TwistedWitness)
             assert (fx == fy) == conjugate
+            if not conjugate:  # a certificate depends only on x's class and y
+                assert res == is_twisted_conjugate(pres, phi, fx, y)
             verdicts[conjugate] += 1
             for u, g, f in ((ux, x, fx), (uy, y, fy)):
                 assert pres.mult(pres.mult(u, g), pres.inv(phi.apply(u))) == f
