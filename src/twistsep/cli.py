@@ -179,9 +179,11 @@ def cmd_examples_heisenberg(args):
     print(json.dumps(report, indent=2))
     if report["case"] == 3 and args.growth:
         rows = heisenberg_central_pair_rows(list(range(1, args.growth + 1)))
-        expo, r2 = fit_exponent(rows)
-        print(json.dumps({"central_pair_rows": rows,
-                          "fit_exponent": round(expo, 3), "r2": round(r2, 3)}))
+        out = {"central_pair_rows": rows}
+        if len(rows) >= 3:
+            expo, r2 = fit_exponent(rows)
+            out.update(fit_exponent=round(expo, 3), r2=round(r2, 3))
+        print(json.dumps(out))
 
 
 def cmd_examples_dim5(args):
@@ -258,7 +260,8 @@ def build_parser():
     eh = exsub.add_parser("heisenberg")
     eh.add_argument("--phi", default="id")
     eh.add_argument("--growth", type=int, default=0,
-                    help="also fit the central pair rows up to this radius")
+                    help="also print the central pair rows up to this radius, "
+                         "fitted when there are at least 3")
     eh.set_defaults(func=cmd_examples_heisenberg)
     e5 = exsub.add_parser("dim5")
     e5.add_argument("--samples", type=int, default=25)

@@ -276,7 +276,7 @@ def farb_depth_union(ext, phi, x, y):
                           cap=order, name="orbit in the combined quotient")
     target = canon(y)
     try:
-        separated = all(t != target for t, _, _ in orbit)
+        separated = all(t != target for t, _ in orbit)
     except BudgetExceededError as exc:
         raise ValidationError("orbit escaped the quotient order") from exc
     if not separated:

@@ -25,7 +25,6 @@ from .quotients import congruence_depth, depth_scan, one_dim_central_quotient
 from .twisted import canonical_form, twist_level, twisted_chain
 
 DEFAULT_SEED = 20240214
-CENTRAL_PAIR_ORDER_BUDGET = 200
 
 
 @dataclass
@@ -180,24 +179,14 @@ def heisenberg_case(pres, phi, samples=50, seed=DEFAULT_SEED):
 
 
 def heisenberg_central_pair_rows(radii):
-    """Case-3 growth rows along the central witness family (x^p, x^p z^-1)
-    for primes p: the mechanism behind the cubic growth. A pair enters the
-    row at n once both elements fit in the n-ball; its depth is the exact
-    congruence depth, scan-verified."""
+    """Case-3 growth rows along the central translate pairs (x^p, x^p z) of
+    lower_bound_witnesses for the primes 2, 3 and 5: the mechanism behind
+    the cubic growth. A pair enters the row at n once both elements fit in
+    the n-ball; its depth is the exact congruence depth, scan-verified."""
     p = heisenberg()
     gens = p.standard_gens()
-    phi = identity_automorphism(p)
-    pairs = []
-    for q in (2, 3, 5):
-        xq = p.pow(p.gen(0), q)
-        y = p.mult(xq, p.inv(p.gen(2)))
-        enter = max(word_length(p, gens, g) for g in (xq, y))
-        res = congruence_depth(p, phi, xq, y, CENTRAL_PAIR_ORDER_BUDGET)
-        if not res.separated:
-            raise BudgetExceededError("central pair depth scan exhausted",
-                                      budget="order budget",
-                                      limit=CENTRAL_PAIR_ORDER_BUDGET)
-        pairs.append((enter, res.order))
+    pairs = [(max(word_length(p, gens, g) for g in w["family"][:2]), w["depth"])
+             for w in lower_bound_witnesses((2, 3, 5))]
     rows = [(n, max((order for enter, order in pairs if enter <= n), default=0))
             for n in radii]
     return [row for row in rows if row[1]]

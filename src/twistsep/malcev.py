@@ -522,15 +522,14 @@ def breadth_first(start, moves, step, key=None, cap=math.inf, name="search"):
     """Lazy breadth-first search from start, where step(e, m) is the
     element reached from e along move m; a repeated move is taken once.
 
-    Yields (start, None, 0), then (t, first, depth) for every move from
-    every element reached, level by level: t is reached at distance depth,
-    and first is the element seen before with the key of t (key defaults
-    to t itself), or None when t is the first, which is then expanded.
-    Raises BudgetExceededError naming the budget and its cap once more
-    than cap keys are seen; the check follows the yield, so a consumer
-    that stops at the element passing the cap gets no error."""
-    seen = {start if key is None else key(start): start}
-    yield start, None, 0
+    Yields (start, 0), then (t, depth) once for every newly reached key
+    (key defaults to t itself), level by level in breadth-first order: t
+    is the first element found with its key, at distance depth, and is
+    the one expanded. Raises BudgetExceededError naming the budget and its
+    cap once more than cap keys are seen; the check follows the yield, so
+    a consumer that stops at the element passing the cap gets no error."""
+    seen = {start if key is None else key(start)}
+    yield start, 0
     moves = list(dict.fromkeys(moves))
     frontier = [start]
     depth = 0
@@ -541,15 +540,15 @@ def breadth_first(start, moves, step, key=None, cap=math.inf, name="search"):
             for m in moves:
                 t = step(e, m)
                 k = t if key is None else key(t)
-                first = seen.get(k)
-                yield t, first, depth
-                if first is None:
-                    seen[k] = t
-                    nxt.append(t)
-                    if len(seen) > cap:
-                        raise BudgetExceededError(
-                            f"{name} exceeded its cap of {cap} elements",
-                            budget=name, limit=cap)
+                if k in seen:
+                    continue
+                seen.add(k)
+                yield t, depth
+                nxt.append(t)
+                if len(seen) > cap:
+                    raise BudgetExceededError(
+                        f"{name} exceeded its cap of {cap} elements",
+                        budget=name, limit=cap)
         frontier = nxt
 
 
@@ -562,11 +561,10 @@ def _cayley_walk(group, gens, cap, name):
 
 def _ball_distances(group, gens, n, cap, name):
     dist = {}
-    for t, first, depth in _cayley_walk(group, gens, cap, name):
+    for t, depth in _cayley_walk(group, gens, cap, name):
         if depth > n:
             break
-        if first is None:
-            dist[t] = depth
+        dist[t] = depth
     return dist
 
 
@@ -589,7 +587,7 @@ def word_length(p, gens, g, cap=64, count_cap=DEFAULT_BALL_CAP):
     g = p.check_element(g)
     walk = _cayley_walk(p, [p.check_element(s) for s in gens], count_cap,
                         "word length search")
-    for t, _, depth in walk:
+    for t, depth in walk:
         if depth > cap:
             break
         if t == g:

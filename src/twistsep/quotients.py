@@ -66,7 +66,7 @@ class FiniteQuotient:
         images = [self.canon(g) for g in gens]
         walk = breadth_first(self.canon(self.pres.identity),
                              images + [self.inv(g) for g in images], self.mult)
-        return {t for t, first, _ in walk if first is None}
+        return {t for t, _ in walk}
 
 
 def congruence_quotient(pres, m, order_budget=None):
@@ -99,7 +99,7 @@ def projected_class(q, phi, x):
         moves.append((q.canon(a), q.canon(p.inv(fa))))
         moves.append((q.canon(p.inv(a)), q.canon(fa)))
     walk = breadth_first(q.canon(x), moves, lambda e, uv: q.mult(q.mult(uv[0], e), uv[1]))
-    return {t for t, first, _ in walk if first is None}
+    return {t for t, _ in walk}
 
 
 def separates(q, phi, x, y):
@@ -192,8 +192,8 @@ class _OrbitLabels:
     finite set N/K, so the searches need only the generators' own moves.
 
     search, the depth scans' hot path, writes every orbit at a kernel into
-    one shared label map without malcev.breadth_first's per-move yield, and
-    stays independent of depth_scan's sifting re-check."""
+    one shared label map, where malcev.breadth_first keeps one seen set per
+    walk, and stays independent of depth_scan's sifting re-check."""
 
     def __init__(self, pres, phi, canon):
         self.canon = canon

@@ -63,11 +63,10 @@ class InducedSequence:
                 g = p.mult(p.pow(s, -(b // a)), g)
                 continue
             u, v, d = xgcd(a, b)
+            # leads add linearly, so hnew[i] = u a + v b = d > 0
             hnew = p.mult(p.pow(s, u), p.pow(g, v))
             s_res = p.mult(p.pow(hnew, -(a // d)), s)
             g_res = p.mult(p.pow(hnew, -(b // d)), g)
-            if hnew[i] < 0:
-                hnew = p.inv(hnew)
             self.entries[i] = hnew
             changed = True
             self._insert(s_res)
@@ -229,15 +228,18 @@ def schreier_kernel(pres, canon_fns, budget=1_000_000):
     via a Schreier transversal over the joint canonical forms.
 
     canon_fns: callables mapping an element to a hashable canonical form.
-    Each edge t*s that reaches a known state gives the Schreier generator
-    t*s*rep^-1, rep the transversal element of that state.
+    Each generator permutes the finite set of states, so the walk over the
+    generators alone reaches every state, and by Schreier's lemma the
+    kernel is generated by e*s*rep(e*s)^-1 over the transversal elements e
+    and the generators s, rep(t) the transversal element of t's state.
     """
     p = pres
     gens = [p.gen(i) for i in range(p.h)]
-    walk = breadth_first(p.identity, gens + [p.inv(g) for g in gens], p.mult,
-                         key=lambda g: tuple(fn(g) for fn in canon_fns),
-                         cap=budget, name="Schreier transversal")
-    schreier = [p.mult(e, p.inv(rep)) for e, rep, _ in walk if rep is not None]
+    key = lambda g: tuple(fn(g) for fn in canon_fns)
+    rep = {key(e): e for e, _ in breadth_first(p.identity, gens, p.mult, key=key,
+                                               cap=budget, name="Schreier transversal")}
+    schreier = [p.mult(t, p.inv(rep[key(t)])) for t in
+                (p.mult(e, s) for e in rep.values() for s in gens)]
     return InducedSequence.from_generators(pres, [g for g in schreier if any(g)])
 
 

@@ -129,6 +129,19 @@ def test_examples_and_witness(capsys):
     assert [w["depth"] for w in data] == [8, 27]
 
 
+@pytest.mark.parametrize("radius, rows", [
+    (3, {"central_pair_rows": []}),
+    (6, {"central_pair_rows": [[4, 8], [5, 27], [6, 27]], "fit_exponent": 3.09, "r2": 0.798}),
+], ids=["radius-3", "radius-6"])
+def test_examples_heisenberg_growth_prints_rows_and_fits_from_three(radius, rows, capsys):
+    # the pairs (x^p, x^p z) for p = 2, 3, 5 enter the ball at radii 4, 5 and 7
+    assert main(["examples", "heisenberg", "--growth", str(radius)]) == 0
+    out = capsys.readouterr().out
+    report, last = out.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(report)["case"] == 3
+    assert json.loads(last) == rows
+
+
 def _non_automorphism(tmp_path):
     # x -> x^2, z -> z^2: a homomorphism of H3 with layer determinant 2
     from twistsep.malcev import GroupHom

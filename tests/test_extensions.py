@@ -9,7 +9,7 @@ from twistsep.extensions import (ExtAutomorphism, FiniteExtension, ball_ext,
                                  ext_identity_automorphism, farb_depth_union,
                                  heisenberg_semidirect_c2, is_conjugate_virtual,
                                  z_semidirect_c2)
-from twistsep.groups import free_abelian, heisenberg
+from twistsep.groups import free_abelian, heisenberg, heisenberg_automorphism
 from twistsep.malcev import GroupHom, identity_automorphism, verify_hom
 from twistsep.subgroups import InducedSequence
 
@@ -256,3 +256,47 @@ def test_restriction_of_separating_quotient_separates_in_kernel():
         if separates(q, f, H.identity, d.n):
             hit = True
     assert hit
+
+
+def test_farb_depth_union_stabilizes_under_the_swap(monkeypatch):
+    # H3 x| C2 with the swap x <-> y, z -> z^-1, an involution: the lcm
+    # kernel of the parts is often moved by the swap, so the stabilization
+    # round intersects it with its image through a Schreier transversal
+    H = heisenberg()
+    swap = heisenberg_automorphism(H, [[0, 1], [1, 0]])
+    E = FiniteExtension(H, [identity_automorphism(H), swap], {(1, 1): (0, H.identity)})
+    phi = ext_identity_automorphism(E)
+    rounds, intersect = [], extensions.intersect_finite_index
+
+    def recorded(pres, seqs, budget=1_000_000):
+        out = intersect(pres, seqs, budget)
+        rounds.append((seqs, out))
+        return out
+
+    monkeypatch.setattr(extensions, "intersect_finite_index", recorded)
+    elements = sorted(ball_ext(E, 4), key=lambda e: (e.coset, e.n))
+    probes = [e.n for e in elements]
+    rng = random.Random(3)
+    separated = stabilized = 0
+    for _ in range(200):
+        x, y = rng.sample(elements, 2)
+        conjugate, _ = is_conjugate_virtual(E, phi, x, y)
+        if conjugate:
+            with pytest.raises(ValidationError, match="conjugate"):
+                farb_depth_union(E, phi, x, y)
+            continue
+        before = len(rounds)
+        res = farb_depth_union(E, phi, x, y)
+        separated += 1
+        if len(rounds) == before:
+            continue
+        stabilized += 1
+        seqs, kernel = rounds[-1]
+        assert res["order"] == E.r * kernel.index()
+        assert res["moduli"] == [kernel.entries[i][i] for i in range(H.h)]
+        for a in (swap, phi.restriction):
+            assert all(kernel.contains(a.apply(g)) for g in kernel.generators())
+        # the Schreier kernel is exactly the intersection of its inputs
+        for g in probes:
+            assert kernel.contains(g) == all(s.contains(g) for s in seqs)
+    assert separated > 150 and stabilized > 50

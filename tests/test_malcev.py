@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -9,14 +10,13 @@ from twistsep.extensions import ball_ext, heisenberg_semidirect_c2
 from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
                              heisenberg_automorphism, ut4)
 from twistsep.malcev import (GroupHom, MalcevPresentation, automorphism_norm,
-                             ball, ball_with_distances, commutator,
+                             ball, ball_with_distances, breadth_first, commutator,
                              compose_with_inner, identity_automorphism,
                              inner_automorphism, inverse, multiply, power, root,
                              verify_hom, verify_presentation, word_length,
                              word_length_upper)
 from twistsep.quotients import congruence_quotient
-from twistsep.subgroups import InducedSequence, power_subgroup, schreier_kernel
-from twistsep.twisted import _deepen_into_congruence
+from twistsep.subgroups import power_subgroup, schreier_kernel
 
 SEED = 20240214
 
@@ -354,19 +354,13 @@ def test_word_length():
      "extension ball exceeded its cap of 20 elements", "extension ball", 20),
     (lambda: schreier_kernel(H3, [power_subgroup(H3, 3).coset_rep], budget=5),
      "Schreier transversal exceeded its cap of 5 elements", "Schreier transversal", 5),
-    # u = z^2 reaches the level-8 kernel by z^-2, two moves away
-    (lambda: _deepen_into_congruence(H3, (0, 0, 2), InducedSequence(H3, {2: (0, 0, 1)}),
-                                     8, budget=2),
-     "congruence deepening search exceeded its cap of 2 elements",
-     "congruence deepening search", 2),
     (lambda: MalcevPresentation(["x", "y", "z"], [1, 1, 60], {(1, 0): (0, 0, -1)}),
      "the group law of weight 60 needs more than the cap of 20000 interpolation points",
      "group law interpolation points", 20_000),
     (lambda: congruence_quotient(H3, 100, order_budget=1000),
      "quotient order 1000000 exceeds the budget 1000", "order budget", 1000),
 ], ids=["ball", "word_length_radius", "word_length_elements", "ball_ext",
-        "schreier_kernel", "deepen_into_congruence", "law_interpolation",
-        "quotient_order"])
+        "schreier_kernel", "law_interpolation", "quotient_order"])
 def test_budget_errors_name_their_budget(run, message, budget, limit):
     with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$") as err:
         run()
@@ -391,6 +385,37 @@ def test_word_length_upper_is_upper_bound():
     for _ in range(40):
         g = tuple(rng.randint(-5, 5) for _ in range(5))
         assert word_length_upper(D5, g) >= 0
+
+
+def test_word_length_upper_class_three_fallback_bounds_word_length():
+    # ut4 is class 3, so every element above layer 1 takes the linear
+    # per-coordinate fallback
+    dist = ball_with_distances(U4, U4.standard_gens(), 5)
+    assert len(dist) == 2003
+    assert any(g[3:] != (0, 0, 0) for g in dist)
+    for g, exact in dist.items():
+        assert exact <= word_length_upper(U4, g)
+
+
+def test_breadth_first_yields_each_key_once_in_order():
+    # Z modulo 7 from 0 by +-1, each move listed twice: every residue once,
+    # at its distance, in breadth-first order
+    steps = []
+
+    def step(e, m):
+        steps.append((e, m))
+        return e + m
+
+    walk = list(breadth_first(0, [1, -1, 1, -1], step, key=lambda t: t % 7))
+    assert walk == [(0, 0), (1, 1), (-1, 1), (2, 2), (-2, 2), (3, 3), (-3, 3)]
+    # a repeated move is taken once: two moves from each of the 7 elements
+    assert len(steps) == 14 and len(set(steps)) == 14
+    # the cap check follows the yield: the element passing the cap is
+    # yielded, and the error comes only when the walk is resumed
+    walk = breadth_first(0, [1], step, cap=3, name="test walk")
+    assert list(itertools.islice(walk, 4)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    with pytest.raises(BudgetExceededError, match="^test walk exceeded its cap of 3 elements$"):
+        next(walk)
 
 
 def test_norms():

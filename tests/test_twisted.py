@@ -464,19 +464,6 @@ def test_solver_high_determinant_twist():
             assert power_subgroup(H3, 2 ** k).contains(y)
 
 
-def test_deepen_into_congruence_helper():
-    # the defensive realisation repair: push an element into the level-2
-    # kernel by a central correction without changing its psi class
-    from twistsep.subgroups import InducedSequence
-    from twistsep.twisted import _deepen_into_congruence
-    zseq = InducedSequence(H3, {2: (0, 0, 1)})
-    fixed = _deepen_into_congruence(H3, (0, 0, 1), zseq, 2)
-    assert fixed is not None
-    assert power_subgroup(H3, 2).contains(fixed)
-    # unfixable: odd weight-1 coordinates cannot be repaired centrally
-    assert _deepen_into_congruence(H3, (1, 1, 0), zseq, 2) is None
-
-
 def test_obstruction_is_reduced_modulo_the_image():
     # one verdict carries one vector, whichever preimages the decision took:
     # on ut4 with the flip at level 3 (image 2Z) the raw coordinates can be
