@@ -1,7 +1,7 @@
 """Finite extensions of nilpotent groups: explicit action-plus-cocycle
-arithmetic, decomposition of twisted classes into translated kernel
-classes, the assembled conjugacy decision, and union separation through
-normal cores.
+arithmetic, decomposition of twisted classes into kernel classes under
+one twist per coset, the assembled conjugacy decision, and union
+separation through normal cores.
 
 An extension G of the kernel N by r coset representatives s_0..s_{r-1}
 (s_0 the identity coset) is described by one automorphism of N per
@@ -9,8 +9,8 @@ representative (conjugation by s_i) and a cocycle table s_i s_j =
 n_{ij} s_{k(i,j)}. Elements are pairs (n, i) meaning n * s_i.
 
 The constructor checks once that these tables are extension data, so the
-rest is read from them: conjugation on N by n s_c is Inn(n) o actions[c],
-and an automorphism of G is checked on G's defining relations only.
+rest is read from them: conjugation on N by s_c is actions[c], and an
+automorphism of G is checked on G's defining relations only.
 """
 
 from dataclasses import dataclass
@@ -85,6 +85,8 @@ class FiniteExtension:
                 raise ValidationError("cocycle fails associativity on reps")
 
     def element(self, n, coset):
+        if coset not in range(self.r):
+            raise ValidationError(f"coset {coset} is not one of the {self.r} cosets")
         return ExtElement(self.kernel.check_element(n), coset)
 
     @property
@@ -104,15 +106,6 @@ class FiniteExtension:
         j = self._inverse[a.coset]
         n_ij = self.cocycle[(a.coset, j)][1]
         return ExtElement(self.actions[j].apply(p.mult(p.inv(n_ij), p.inv(a.n))), j)
-
-    def conjugation_on_kernel(self, g):
-        """Conjugation by g = n s_c restricted to N, as a GroupHom: by
-        definition s_c m s_c^-1 = actions[c](m), so it is Inn(n) o
-        actions[c]."""
-        return compose_with_inner(self.kernel, self.actions[g.coset], g.n)
-
-    def in_kernel(self, g):
-        return g.coset == 0
 
     def generators(self):
         p = self.kernel
@@ -166,32 +159,35 @@ def ext_identity_automorphism(ext):
 
 
 def decompose_twisted_class(ext, phi, x):
-    """[x]_phi as a union of translated kernel twisted classes: pairs
-    (f_i after the restriction of phi, translate x_i) with
-    x_i = s_i x phi(s_i)^-1."""
-    p = ext.kernel
+    """[x]_phi as a union of parts, one per coset i: pairs (psi_c, x_i) with
+    x_i = s_i x phi(s_i)^-1 = n_i s_c and psi_c = actions[c] o phi|N. Every
+    g in G is z s_i with z in N, so g x phi(g)^-1 = z x_i phi(z)^-1, and
+    as s_c m s_c^-1 = actions[c](m) this is z n_i psi_c(z)^-1 s_c: the part
+    is [n_i]_(psi_c) s_c, and its twist does not depend on x."""
+    if phi.ext is not ext:
+        raise ValidationError("phi is an automorphism of another extension")
+    x = ext.element(x.n, x.coset)
     out = []
     for i in range(ext.r):
-        s_i = ext.element(p.identity, i)
+        s_i = ext.element(ext.kernel.identity, i)
         x_i = ext.mult(ext.mult(s_i, x), ext.inv(phi.apply(s_i)))
-        f_i = ext.conjugation_on_kernel(x_i)
-        out.append((f_i.compose(phi.restriction), x_i))
+        out.append((ext.actions[x_i.coset].compose(phi.restriction), x_i))
     return out
 
 
 def is_conjugate_virtual(ext, phi, x, y):
-    """Decide y ~_phi x in the extension: y lies in some translated class
-    iff y x_i^-1 lands in N and is a twisted displacement there. Returns
-    (True, witness ExtElement) or (False, None); witnesses verify exactly."""
+    """Decide y ~_phi x in the extension: y lies in the part [n_i]_(psi_c)
+    s_c (decompose_twisted_class) iff c is y's coset and n_i ~_(psi_c) y.n
+    in N. Returns (True, witness ExtElement) or (False, None); witnesses
+    verify exactly."""
     p = ext.kernel
-    for i, (f, x_i) in enumerate(decompose_twisted_class(ext, phi, x)):
-        d = ext.mult(y, ext.inv(x_i))
-        if not ext.in_kernel(d):
+    y = ext.element(y.n, y.coset)
+    for i, (psi, x_i) in enumerate(decompose_twisted_class(ext, phi, x)):
+        if x_i.coset != y.coset:
             continue
-        res = is_twisted_conjugate(p, f, p.identity, d.n)
+        res = is_twisted_conjugate(p, psi, x_i.n, y.n)
         if isinstance(res, TwistedWitness):
-            s_i = ext.element(p.identity, i)
-            w = ext.mult(ext.element(res.z, 0), s_i)
+            w = ext.mult(ext.element(res.z, 0), ext.element(p.identity, i))
             if ext.mult(ext.mult(w, x), ext.inv(phi.apply(w))) != y:
                 raise ValidationError("virtual witness verification failed")
             return True, w
@@ -211,16 +207,25 @@ def farb_depth_union(ext, phi, x, y):
     """Separate y from [x]_phi in a finite quotient of the extension,
     assembled from per-part kernel separations.
 
-    One pass over the translated parts of [x]_phi: G/N already separates
-    a part outside N, and each part inside N gets a depth scan up to order
-    UNION_ORDER_BUDGET, which also decides it; a conjugate part means
-    y ~_phi x and raises. The scans' kernels are intersected (N itself
-    stands in when no part lies in N) and then with their images under
-    the coset action and phi until stable, giving a normal, phi-invariant
-    kernel. An image has the same index, so only a round in which some
-    automorphism moves a generator out of the kernel builds images and
-    intersects them through a Schreier transversal. The separation is
-    re-verified by orbit enumeration in the finite quotient of G.
+    G/N separates every part [n_i]_(psi_c) s_c (decompose_twisted_class)
+    outside y's coset c. The parts in c share the twist psi_c, so one depth
+    scan up to order UNION_ORDER_BUDGET takes a block (n_i, y.n) per part
+    and also decides it; a conjugate part means y ~_phi x and raises. A
+    part's depths are those of (1, y.n n_i^-1) under Inn(n_i) o psi_c, its
+    class translated to the identity: for K normal in N, right translation
+    by n_i is a bijection of N/K that maps [1]_(Inn(n_i) psi_c) K onto
+    [n_i]_(psi_c) K (z n_i psi_c(z)^-1 n_i^-1 goes to z n_i psi_c(z)^-1)
+    and y.n n_i^-1 K onto y.n K, so every kernel separates the one pair
+    exactly when it separates the other.
+
+    The scans' kernels are intersected (N itself stands in when no part
+    lies in c) and then with their images under the coset action and phi
+    until stable, giving a normal, phi-invariant kernel K. An image has the
+    same index, so only a round in which some automorphism moves a
+    generator out of the kernel builds images and intersects them through
+    a Schreier transversal. The separation is re-verified by orbit
+    enumeration in G/K over the moves of G's generators: each permutes
+    that finite set, so its inverse is a positive power of it.
 
     The scanned kernels are intersected in closed form. A stable kernel
     K(m) is D(m) = {g : m_i | g_i for all i} (diagonal_kernel has the
@@ -233,19 +238,18 @@ def farb_depth_union(ext, phi, x, y):
     the product bound the combined order is compared against.
     """
     p = ext.kernel
-    parts = []
-    for f, x_i in decompose_twisted_class(ext, phi, x):
-        d = ext.mult(y, ext.inv(x_i))
-        res = depth_scan(p, f, [(p.identity, d.n)], UNION_ORDER_BUDGET)[0] \
-            if ext.in_kernel(d) else None
-        if res is not None and res.conjugate:
-            raise ValidationError("x and y are conjugate; nothing to separate")
-        parts.append(res)
-    scanned = [res for res in parts if res is not None]
+    y = ext.element(y.n, y.coset)
+    parts = decompose_twisted_class(ext, phi, x)
+    scanned = depth_scan(p, ext.actions[y.coset].compose(phi.restriction),
+                         [(x_i.n, y.n) for _, x_i in parts if x_i.coset == y.coset],
+                         UNION_ORDER_BUDGET)
+    if any(res.conjugate for res in scanned):
+        raise ValidationError("x and y are conjugate; nothing to separate")
     if not all(res.separated for res in scanned):
         raise BudgetExceededError("no separating congruence quotient for a part",
                                   budget="order budget", limit=UNION_ORDER_BUDGET)
-    part_orders = [ext.r if res is None else res.order for res in parts]
+    orders = iter(res.order for res in scanned)
+    part_orders = [next(orders) if x_i.coset == y.coset else ext.r for _, x_i in parts]
     combined = diagonal_kernel(p, [math.lcm(*ms) for ms in
                                    zip((1,) * p.h, *(res.moduli for res in scanned))])
     if combined is None:
@@ -263,14 +267,8 @@ def farb_depth_union(ext, phi, x, y):
         raise BudgetExceededError("core stabilization did not converge",
                                   budget="stabilization rounds", limit=STABILIZE_ROUNDS)
     order = combined.index() * ext.r
-    # verify separation in the finite quotient G/K by orbit enumeration on
-    # coset forms: K is normal in G and phi-invariant once stable, so the
-    # moves act on its cosets
     canon = lambda g: ExtElement(combined.coset_rep(g.n), g.coset)
-    moves = []
-    for g in ext.generators():
-        moves.append((g, ext.inv(phi.apply(g))))
-        moves.append((ext.inv(g), phi.apply(g)))
+    moves = [(g, ext.inv(phi.apply(g))) for g in ext.generators()]
     orbit = breadth_first(canon(x), moves,
                           lambda e, uv: canon(ext.mult(ext.mult(uv[0], e), uv[1])),
                           cap=order, name="orbit in the combined quotient")

@@ -62,10 +62,11 @@ class FiniteQuotient:
 
     def subgroup_image(self, gens):
         """The subgroup of the quotient generated by images of gens, as a
-        set of canonical forms."""
-        images = [self.canon(g) for g in gens]
+        set of canonical forms. Right multiplication by an image permutes
+        the finite quotient, so its inverse is a positive power of it and
+        the images' own moves reach the whole subgroup."""
         walk = breadth_first(self.canon(self.pres.identity),
-                             images + [self.inv(g) for g in images], self.mult)
+                             [self.canon(g) for g in gens], self.mult)
         return {t for t, _ in walk}
 
 
@@ -90,14 +91,12 @@ def induced_automorphism(q, phi):
 
 def projected_class(q, phi, x):
     """The image of the twisted class [x]_phi in the quotient, computed
-    through the graph moves xi -> pi(a) xi pi(phi(a))^-1. This never needs
-    the kernel to be phi-invariant."""
+    through the graph moves xi -> pi(a) xi pi(phi(a))^-1 of the generators
+    a. Each move permutes the finite set N/K, so its inverse is a positive
+    power of it and the generators' own moves reach the whole orbit. This
+    never needs the kernel to be phi-invariant."""
     p = q.pres
-    moves = []
-    for i, fa in enumerate(phi.images):
-        a = p.gen(i)
-        moves.append((q.canon(a), q.canon(p.inv(fa))))
-        moves.append((q.canon(p.inv(a)), q.canon(fa)))
+    moves = [(q.canon(p.gen(i)), q.canon(p.inv(fa))) for i, fa in enumerate(phi.images)]
     walk = breadth_first(q.canon(x), moves, lambda e, uv: q.mult(q.mult(uv[0], e), uv[1]))
     return {t for t, _ in walk}
 
