@@ -12,9 +12,8 @@ from .groups import dim5, dim5_automorphism, free_abelian, heisenberg, \
     heisenberg_automorphism, ut4
 from .subgroups import InducedSequence, power_subgroup
 from .twisted import (TwistedChain, TwistedWitness, blackburn_constants,
-                      blackburn_root, bounded_witness, canonical_form, center,
-                      is_twisted_conjugate, psi, solve_power_twisted, twist_level,
-                      twisted_chain, twisted_determinant, twisted_subgroup)
+                      canonical_form, center, is_twisted_conjugate, psi,
+                      solve_power_twisted, twist_level, twisted_chain)
 from .quotients import (FiniteQuotient, congruence_depth, congruence_quotient,
                         depth_scan, full_power_subgroup, induced_automorphism,
                         one_dim_central_quotient, separates,

@@ -26,7 +26,8 @@ from . import lattice as lin
 from .malcev import (MalcevPresentation, GroupHom, breadth_first, compose_with_inner,
                      verify_hom, verify_presentation)
 from .subgroups import InducedSequence, diagonal_kernel, power_subgroup
-from .twisted import blackburn_constants, canonical_form, center, twisted_chain, _vp
+from .twisted import (blackburn_constants, canonical_form, center, twisted_chain,
+                      _prime_power, _vp)
 
 DEFAULT_ORDER_BUDGET = 5000
 CENTRAL_QUOTIENT_STEPS = 20
@@ -104,17 +105,6 @@ def projected_class(q, phi, x):
 def separates(q, phi, x, y):
     """Whether the quotient separates y from the twisted class of x."""
     return q.canon(y) not in projected_class(q, phi, x)
-
-
-def _prime_power(n):
-    """(p, k) with n = p^k for a prime p, or None when n is not a prime
-    power."""
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
 
 
 def _compositions(k, h):

@@ -10,8 +10,6 @@ abelian case. Construction closes the entries under mutual conjugation
 membership testing by sifting is sound and complete.
 """
 
-import math
-
 from .errors import BudgetExceededError, ValidationError
 from .lattice import xgcd
 from .malcev import breadth_first
@@ -247,59 +245,3 @@ def intersect_finite_index(pres, seqs, budget=1_000_000):
     """Intersection of finitely many finite-index subgroups."""
     fns = [s.coset_rep for s in seqs]
     return schreier_kernel(pres, fns, budget)
-
-
-def enumerate_finite_index_subgroups(pres, max_index):
-    """All subgroups of index <= max_index, as induced sequences.
-
-    Candidates are full diagonal sequences with bounded leads and reduced
-    tails; each candidate is kept when its own closure reproduces it.
-    """
-    h = pres.h
-    out = []
-
-    def diag_vectors(prefix, budget):
-        if len(prefix) == h:
-            yield tuple(prefix)
-            return
-        d = 1
-        while d <= budget:
-            yield from diag_vectors(prefix + [d], budget // d)
-            d += 1
-
-    def tails(diag):
-        # entry at lead i has free coordinates at j > i modulo diag[j]
-        slots = [(i, j) for i in range(h) for j in range(i + 1, h)]
-
-        def rec(assign, k):
-            if k == len(slots):
-                yield dict(assign)
-                return
-            i, j = slots[k]
-            for v in range(diag[j]):
-                assign[(i, j)] = v
-                yield from rec(assign, k + 1)
-            del assign[(i, j)]
-
-        yield from rec({}, 0)
-
-    seen = set()
-    for diag in diag_vectors([], max_index):
-        for tail in tails(diag):
-            entries = {}
-            for i in range(h):
-                vec = [0] * h
-                vec[i] = diag[i]
-                for j in range(i + 1, h):
-                    vec[j] = tail[(i, j)]
-                entries[i] = tuple(vec)
-            seq = InducedSequence.from_generators(pres, list(entries.values()))
-            if seq.index() != math.prod(diag):
-                continue
-            key = tuple(sorted(seq.entries.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(seq)
-    return out
-

@@ -16,8 +16,7 @@ import math
 
 from .errors import PreconditionError, TwistsepError, ValidationError
 from . import lattice as lin
-from .malcev import (GroupHom, compose_with_inner, inner_automorphism, root,
-                     word_length_upper)
+from .malcev import GroupHom, compose_with_inner, inner_automorphism
 from .subgroups import InducedSequence, power_subgroup
 
 
@@ -68,8 +67,7 @@ class TwistedChain:
 
     Levels are built on demand: level(i) builds N_i and its psi rows, and
     N_{i+1} is closed from level i's kernel only when level i+1 or fixed
-    is read. levels, fixed, determinants and norm_report force the whole
-    chain."""
+    is read. levels, fixed and determinants force the whole chain."""
 
     def __init__(self, pres, maps):
         if isinstance(maps, GroupHom):
@@ -124,16 +122,6 @@ class TwistedChain:
         ds = [lv.determinant for lv in self.levels]
         return ds, math.prod(ds)
 
-    def norm_report(self):
-        """Constructive word-length upper bounds for each level's
-        generating sequence (the labelled upper bound for ||N_i||)."""
-        out = []
-        for lv in self.levels:
-            gens = lv.seq.generators()
-            bound = max((word_length_upper(self.pres, g) for g in gens), default=0)
-            out.append({"level": lv.level, "num_gens": len(gens), "norm_upper": bound})
-        return out
-
 
 def twisted_chain(pres, phi):
     """The chain for a single automorphism, memoised on the presentation by
@@ -169,10 +157,6 @@ def center(pres):
     return TwistedChain(pres, maps).fixed
 
 
-def fixed_subgroup(pres, phi):
-    return twisted_chain(pres, phi).fixed
-
-
 def psi(pres, phi, i, x):
     """psi_{phi,i}(x): layer-i coordinates of x phi(x)^-1. Raises when x is
     not in the i-th twisted centralizer."""
@@ -182,17 +166,6 @@ def psi(pres, phi, i, x):
                                 reason="membership")
     d = pres.mult(x, pres.inv(phi.apply(x)))
     return pres.layer_coords(d, i)
-
-
-def twisted_subgroup(pres, phi):
-    """N_phi: the image of psi at the top layer, as a lattice in the
-    layer-c coordinates."""
-    chain = twisted_chain(pres, phi)
-    return chain.level(pres.nilpotency_class).image
-
-
-def twisted_determinant(pres, phi):
-    return twisted_chain(pres, phi).determinants()
 
 
 @dataclass
@@ -281,38 +254,13 @@ def canonical_form(pres, phi, x):
     return _walk(pres, phi, pres.check_element(x))
 
 
-def bounded_witness(pres, phi, y):
-    """A witness x with x phi(x)^-1 = y, plus a constructive norm report.
-    Raises when y is not a twisted displacement at all."""
-    res = is_twisted_conjugate(pres, phi, pres.identity, y)
-    if isinstance(res, NotTwistedConjugate):
-        raise PreconditionError("y is not of the form x phi(x)^-1",
-                                reason="membership")
-    x = res.z
-    report = {
-        "witness": x,
-        "norm_upper": word_length_upper(pres, x),
-        "y_norm_upper": word_length_upper(pres, y),
-    }
-    return x, report
-
-
 # -- Blackburn machinery ------------------------------------------------------
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def blackburn_constants(p, c):
     """k(p,c) = sum over i <= c of the largest e with p^e <= i, and
     k*(p,c) = (c-1) k(p,c). Also certifies p^k(p,c) <= c!."""
-    if not _is_prime(p):
+    if _prime_power(p) != (p, 1):
         raise ValidationError(f"{p} is not prime")
     k = 0
     for i in range(1, c + 1):
@@ -336,29 +284,20 @@ def _vp(n, p):
     return v
 
 
+def _prime_power(n):
+    """(p, k) with n = p^k for a prime p, or None when n is not a prime
+    power; None for every n < 2."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    k = _vp(n, p)
+    return (p, k) if n == p ** k else None
+
+
 def _vector_valuation(g, p):
     """min p-adic valuation over nonzero coordinates; None for identity."""
     vals = [_vp(e, p) for e in g if e]
     return min(vals) if vals else None
-
-
-def blackburn_root(pres, p, k, x):
-    """The p^k-th root of x, for x in the level-p^(k+k(p,c)) congruence
-    kernel. Membership is the precondition; existence of the root then
-    follows and the returned equation is verified exactly."""
-    kc, _ = blackburn_constants(p, pres.nilpotency_class)
-    level = p ** (k + kc)
-    member = power_subgroup(pres, level).contains(x)
-    if not member:
-        raise PreconditionError(
-            f"x is not in the congruence kernel of level p^(k + k(p,c)) = {level}",
-            reason="membership")
-    y = root(pres, x, p ** k)
-    if y is None:
-        raise TwistsepError("guaranteed root does not exist; arithmetic bug")
-    if pres.pow(y, p ** k) != x:
-        raise TwistsepError("root verification failed")
-    return y
 
 
 def solve_power_twisted(pres, phi, p, k, x):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from twistsep import quotients
+from twistsep import quotients, twisted
 from twistsep.errors import PreconditionError, ValidationError
 from twistsep.groups import dim5, dim5_automorphism, heisenberg, heisenberg_automorphism, ut4
 from twistsep.malcev import identity_automorphism
@@ -147,7 +147,7 @@ def test_congruence_kernels_are_the_prime_power_members(pres, max_order):
 def test_prime_power_moduli_are_the_ordered_factorizations(h, max_order):
     prime_powers = 0
     for order in range(2, max_order + 1):
-        prime_power = quotients._prime_power(order)
+        prime_power = twisted._prime_power(order)
         assert (prime_power is not None) == (len(prime_factors(order)) == 1), order
         if prime_power is None:
             continue

@@ -3,7 +3,10 @@ every module-level import is used by its module, no function body
 imports anything (no import cycle needs it), and every function, class
 and method is referenced somewhere in src/, tests/ or bench/ outside its
 own definition, or overrides a method of a base class from outside the
-package, which that base class may call."""
+package, which that base class may call. A stricter rule keeps out names
+that only their own unit tests and re-exports use: outside a named exempt
+set, every definition is referenced from the package's modules, the
+benchmark or the acceptance tests."""
 
 import ast
 from collections import Counter
@@ -15,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twistsep"
 MODULES = sorted(PACKAGE.glob("*.py"))
+WITHOUT_INIT = [p for p in MODULES if p.name != "__init__.py"]
 
 
 def _tree(path):
@@ -31,8 +35,7 @@ def _bindings(node):
 
 
 # the package's own imports are its exports
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", WITHOUT_INIT, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     tree = _tree(path)
     imported = {name for node in tree.body
@@ -128,6 +131,33 @@ def test_every_definition_is_referenced():
         dead += [f"{path.name}: {qualname}"
                  for qualname in _unreferenced(module, trees[path], everywhere)]
     assert dead == []
+
+
+# the uses that count for the stricter rule: the package's modules without
+# their re-exports in __init__.py, the benchmark and the acceptance tests
+USERS = (WITHOUT_INIT + sorted((ROOT / "bench").rglob("*.py"))
+         + [ROOT / "tests" / "test_acceptance.py"])
+
+# what only unit tests and outside callers use, and why it stays
+UNIT_TESTED_ONLY = {
+    "lattice.py: invariant_factors": "the reference that isolator_index is tested against",
+    "malcev.py: commutator": "a length-checked entry point for outside input",
+    "malcev.py: inverse": "a length-checked entry point for outside input",
+    "malcev.py: multiply": "a length-checked entry point for outside input",
+    "serialize.py: hom_to_dict": "the write half of the JSON format",
+    "serialize.py: presentation_to_dict": "the write half of the JSON format; CI writes ut4.json",
+}
+
+
+def test_every_definition_has_a_user_beyond_its_unit_tests():
+    trees = {path: _tree(path) for path in USERS}
+    everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
+    dead = []
+    for path in WITHOUT_INIT:
+        module = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+        dead += [f"{path.name}: {qualname}"
+                 for qualname in _unreferenced(module, trees[path], everywhere)]
+    assert sorted(dead) == sorted(UNIT_TESTED_ONLY)
 
 
 OVERRIDE_SAMPLE = """

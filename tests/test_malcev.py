@@ -438,6 +438,8 @@ def test_root_round_trip():
             g = tuple(rng.randint(-9, 9) for _ in range(width))
             m = rng.randint(1, 8)
             assert root(pres, power(pres, g, m), m) == g
+    # in Z^3 a root is plain division
+    assert root(free_abelian(3), (9, -18, 0), 9) == (1, -2, 0)
     # brute check that z has no square root in a small box
     for a in range(-2, 3):
         for b in range(-2, 3):

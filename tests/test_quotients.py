@@ -14,7 +14,7 @@ from twistsep.quotients import (CentralQuotientError, FiniteQuotient,
                                 separates,
                                 verify_pullback_reduction)
 from twistsep.subgroups import power_subgroup
-from twistsep.twisted import center
+from twistsep.twisted import center, twisted_chain
 from test_depth_scan import all_stable_kernels
 
 SEED = 20240214
@@ -242,8 +242,7 @@ def test_pullback_reduction_deep_determinant():
     # twisted determinant 16 forces the full k0 = 4 level gap (quotient of
     # order 2^15) when the composed twist keeps the 2-adic depth
     phi = heisenberg_automorphism(H3, [[2, 1], [-1, 0]], e=0, f=17)
-    from twistsep.twisted import twisted_determinant
-    assert twisted_determinant(H3, phi)[1] == 16
+    assert twisted_chain(H3, phi).determinants()[1] == 16
     for x in (H3.identity, (1, -1, 0), (0, 0, 3)):
         assert verify_pullback_reduction(H3, phi, x, 2, 1,
                                          order_budget=300_000)

@@ -8,9 +8,8 @@ from twistsep.errors import ValidationError
 from twistsep.groups import dim5, free_abelian, heisenberg, ut4
 from twistsep.malcev import multiply, power
 from twistsep.quotients import congruence_kernels
-from twistsep.subgroups import (InducedSequence, diagonal_kernel,
-                                enumerate_finite_index_subgroups,
-                                intersect_finite_index, power_subgroup)
+from twistsep.subgroups import (InducedSequence, diagonal_kernel, intersect_finite_index,
+                                power_subgroup)
 from test_depth_scan import all_stable_kernels, ordered_factorizations
 from test_malcev import U5
 
@@ -172,28 +171,6 @@ def test_stable_kernels_intersect_at_the_lcm_of_their_moduli(pres, max_order, ma
         assert seq.entries == intersect_finite_index(pres, [k1, k2]).entries, (m1, m2)
         pairs += 1
     assert pairs > 200
-
-
-def test_congruence_subgroup_lemma_at_small_index():
-    # every subgroup of index p^alpha contains the level-p^alpha congruence
-    # kernel generators
-    subs = enumerate_finite_index_subgroups(H3, 8)
-    assert len(subs) > 10
-    checked = 0
-    for H in subs:
-        idx = H.index()
-        for p in (2, 3, 5, 7):
-            alpha = 0
-            n = idx
-            while n % p == 0:
-                n //= p
-                alpha += 1
-            if n == 1 and alpha > 0:
-                K = power_subgroup(H3, p ** alpha)
-                for g in K.generators():
-                    assert H.contains(g)
-                checked += 1
-    assert checked > 5
 
 
 def test_conjugated_subgroup():

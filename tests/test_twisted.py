@@ -4,7 +4,7 @@ import random
 import pytest
 
 from twistsep import lattice
-from twistsep.errors import PreconditionError
+from twistsep.errors import PreconditionError, ValidationError
 from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
                              heisenberg_automorphism, ut4)
 from twistsep.lattice import Lattice
@@ -12,10 +12,9 @@ from twistsep.malcev import (GroupHom, ball, compose_with_inner, identity_automo
                              inner_automorphism, verify_hom)
 from twistsep.subgroups import InducedSequence, power_subgroup
 from twistsep.twisted import (ChainLevel, NotTwistedConjugate, TwistedChain, TwistedWitness,
-                              blackburn_constants, blackburn_root,
-                              bounded_witness, canonical_form, center, fixed_subgroup,
+                              _prime_power, blackburn_constants, canonical_form, center,
                               is_twisted_conjugate, psi, solve_power_twisted, twist_level,
-                              twisted_chain, twisted_determinant, twisted_subgroup)
+                              twisted_chain)
 from test_malcev import U5
 
 SEED = 20240214
@@ -52,8 +51,7 @@ def test_case1_chain():
     assert sorted(n2.entries) == [2]
     assert n2.entries[2] == (0, 0, 1)
     assert chain.level(2).image.rows == []       # N_phi trivial
-    assert twisted_subgroup(H3, CASE1).rows == []
-    assert twisted_determinant(H3, CASE1) == ([1, 1], 1)
+    assert chain.determinants() == ([1, 1], 1)
 
 
 def test_case2_chain():
@@ -65,12 +63,12 @@ def test_case2_chain():
     assert image.contains([2])                   # z^2 always lands in N_phi
     assert image.rows == [[1]]
     # D = -1 case from the worked example: z itself is a displacement
-    assert twisted_subgroup(H3, CASE2).contains([1])
+    assert image.contains([1])
 
 
 def test_case2b_determinant():
     phi = heisenberg_automorphism(H3, [[1, 0], [0, -1]])
-    ds, D = twisted_determinant(H3, phi)
+    ds, D = twisted_chain(H3, phi).determinants()
     assert ds == [2, 2] and D == 4
 
 
@@ -239,7 +237,7 @@ def test_center_and_fixed():
     assert sorted(center(H3).entries) == [2]
     assert sorted(center(D5).entries) == [3, 4]
     assert center(free_abelian(3)).index() == 1
-    fix = fixed_subgroup(H3, CASE2)
+    fix = twisted_chain(H3, CASE2).fixed
     # phi(x^2 y^2 z^-2) = y^2 x^2 z^2 = x^2 y^2 z^-2 exactly
     assert fix.contains((2, 2, -2))
     assert not fix.contains((0, 0, 1))     # phi(z) = z^-1
@@ -257,6 +255,20 @@ def test_decision_heisenberg_conjugacy_classes():
         assert res.verify(H3, ID_H3)
         res = is_twisted_conjugate(H3, ID_H3, xp, H3.mult(xp, H3.gen(2)))
         assert isinstance(res, NotTwistedConjugate)
+    # from the identity: z is no displacement under id, z^2 is one under the
+    # swap, and y = w Inn(g)(w)^-1 is one under Inn(g)
+    assert isinstance(is_twisted_conjugate(H3, ID_H3, H3.identity, (0, 0, 1)),
+                      NotTwistedConjugate)
+    twists = [(CASE2, (0, 0, 2))]
+    rng = random.Random(SEED + 4)
+    for _ in range(20):
+        g = tuple(rng.randint(-4, 4) for _ in range(3))
+        w = tuple(rng.randint(-4, 4) for _ in range(3))
+        inn = inner_automorphism(H3, g)
+        twists.append((inn, H3.mult(w, H3.inv(inn.apply(w)))))
+    for phi, y in twists:
+        res = is_twisted_conjugate(H3, phi, H3.identity, y)
+        assert isinstance(res, TwistedWitness) and res.verify(H3, phi)
 
 
 def test_decision_self_conjugate():
@@ -300,63 +312,25 @@ def test_abelian_translation_structure():
                     assert isinstance(res, TwistedWitness) == expected
 
 
-def test_bounded_witness():
-    x, report = bounded_witness(H3, CASE2, (0, 0, 2))
-    assert H3.mult(x, H3.inv(CASE2.apply(x))) == (0, 0, 2)
-    assert report["norm_upper"] >= 1
-    with pytest.raises(PreconditionError):
-        bounded_witness(H3, ID_H3, (0, 0, 1))
-    # Inn(g): y = [w, g] has witness w
-    rng = random.Random(SEED + 4)
-    for _ in range(20):
-        g = tuple(rng.randint(-4, 4) for _ in range(3))
-        w = tuple(rng.randint(-4, 4) for _ in range(3))
-        inn = inner_automorphism(H3, g)
-        y = H3.mult(w, H3.inv(inn.apply(w)))
-        x, _ = bounded_witness(H3, inn, y)
-        assert H3.mult(x, H3.inv(inn.apply(x))) == y
-
-
 def test_blackburn_constants():
     assert blackburn_constants(2, 2) == (1, 1)
     assert blackburn_constants(3, 2) == (0, 0)
     assert blackburn_constants(5, 2) == (0, 0)
     assert blackburn_constants(2, 4) == (4, 12)
     assert 2 ** 4 <= 24
-    with pytest.raises(Exception):
-        blackburn_constants(4, 2)
-
-
-def test_blackburn_root():
-    y = blackburn_root(H3, 2, 1, (4, 4, 4))
-    assert H3.pow(y, 2) == (4, 4, 4)
-    with pytest.raises(PreconditionError):
-        blackburn_root(H3, 2, 1, (2, 0, 0))
-    # pure-power route, filtered to powers that land in the congruence
-    # kernel (the membership precondition uses basis-power subgroups)
-    rng = random.Random(SEED + 5)
-    L4 = power_subgroup(H3, 4)
-    hits = 0
-    for _ in range(60):
-        g = tuple(rng.randint(-4, 4) for _ in range(3))
-        x = H3.pow(g, 2 ** (1 + 1))
-        if not L4.contains(x):
-            continue
-        hits += 1
-        y = blackburn_root(H3, 2, 1, x)
-        assert H3.pow(y, 2) == x
-    assert hits > 5
-    # abelian case: k(p,1) = 0 and the root is plain division
-    Zk = free_abelian(3)
-    y = blackburn_root(Zk, 3, 2, (9, -18, 0))
-    assert y == (1, -2, 0)
+    for p in (0, 1, 4, 9, -3):
+        with pytest.raises(ValidationError):
+            blackburn_constants(p, 2)
+    # below 2 there is no prime power, and the answer comes without a search
+    for n in (-3, 0, 1):
+        assert _prime_power(n) is None
 
 
 def test_solver_identity_and_fixed_points():
     y = solve_power_twisted(H3, ID_H3, 2, 1, H3.identity)
     assert y == H3.identity
     # any x with phi(x) = x has displacement 1, solved by y = 1
-    fix = fixed_subgroup(H3, CASE2)
+    fix = twisted_chain(H3, CASE2).fixed
     rng = random.Random(SEED + 6)
     for _ in range(10):
         x = random_member(H3, fix, rng, 3)
@@ -406,24 +380,6 @@ def test_solver_reports_which_divisibility_failed():
     assert "divisibility" in (err.value.reason or "")
 
 
-def test_chain_norm_upper_polynomial_trend():
-    # over a family of automorphisms with growing norm, the constructive
-    # word-length upper bound for the second twisted centralizer grows at
-    # most polynomially; the fitted exponent is reported, not pinned
-    from twistsep.growth import fit_exponent
-    from twistsep.malcev import automorphism_norm
-    from twistsep.twisted import twisted_chain
-    S = H3.standard_gens()
-    rows = []
-    for t in (1, 3, 5, 7, 9, 11):
-        phi = heisenberg_automorphism(H3, [[1, 0], [t, -1]])
-        norm = automorphism_norm(H3, S, phi, cap=40)
-        bound = max(r["norm_upper"] for r in twisted_chain(H3, phi).norm_report())
-        rows.append((norm, max(bound, 1)))
-    expo, _ = fit_exponent(rows)
-    assert expo <= 3.0, rows
-
-
 def test_decision_vs_brute_force_shear():
     # a sheared identity-like automorphism exercises the last-layer branch
     rng = random.Random(SEED + 11)
@@ -452,7 +408,7 @@ def test_solver_p5():
 def test_solver_high_determinant_twist():
     # twisted determinant 16: the level pullback spends four 2-adic digits
     phi = heisenberg_automorphism(H3, [[2, 1], [-1, 0]], e=0, f=17)
-    ds, D = twisted_determinant(H3, phi)
+    ds, D = twisted_chain(H3, phi).determinants()
     assert D == 16
     rng = random.Random(SEED + 13)
     for k in (1, 2):
