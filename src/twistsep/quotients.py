@@ -24,7 +24,7 @@ import operator
 from .errors import BudgetExceededError, PreconditionError, ValidationError
 from . import lattice as lin
 from .malcev import (MalcevPresentation, GroupHom, breadth_first, compose_with_inner,
-                     verify_hom, verify_presentation)
+                     product_of_powers, verify_hom, verify_presentation)
 from .subgroups import InducedSequence, diagonal_kernel, power_subgroup
 from .twisted import (blackburn_constants, canonical_form, center, twisted_chain,
                       _prime_power, _vp)
@@ -420,10 +420,8 @@ def central_quotient(pres, c_entries):
                 raise CentralQuotientError("layer split failed; quotient has torsion")
             beta = sol[:len(complements[w])]
             coords.extend(beta)
-            prefix = p.identity
-            for vec, e in zip(complements[w] + kill[w], sol):
-                if e:
-                    prefix = p.mult(prefix, p.pow(p.from_layer_coords(vec, w), e))
+            prefix = product_of_powers(
+                p, (p.from_layer_coords(vec, w) for vec in complements[w] + kill[w]), sol)
             residual = p.mult(p.inv(prefix), residual)
         if any(residual):
             raise CentralQuotientError("projection residual is nontrivial")
@@ -480,14 +478,8 @@ def one_dim_central_quotient(pres, z):
         # complement of the primitive z inside the center lattice, over
         # center coordinates
         _, _, V = lin.snf([list(coords)])
-        kill_elements = []
-        zc_gens = zc.generators()
-        for cc in lin.inverse_unimodular(V)[1:]:
-            el = current.identity
-            for gen, e in zip(zc_gens, cc):
-                if e:
-                    el = current.mult(el, current.pow(gen, e))
-            kill_elements.append(el)
+        kill_elements = [product_of_powers(current, zc.generators(), cc)
+                         for cc in lin.inverse_unimodular(V)[1:]]
         kill_seq = InducedSequence.from_generators(current, kill_elements)
         quotient, proj = central_quotient(current, kill_seq.generators())
         hom = proj.compose(hom)

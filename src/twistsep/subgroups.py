@@ -102,21 +102,10 @@ class InducedSequence:
 
     # -- queries ------------------------------------------------------------
 
-    def residual(self, g):
-        """Sift g; returns the identity exactly when g is a member."""
-        p = self.pres
-        g = p.check_element(g)
-        while True:
-            i = _lead(g)
-            if i is None:
-                return g
-            s = self.entries.get(i)
-            if s is None or g[i] % s[i] != 0:
-                return g
-            g = p.mult(p.pow(s, -(g[i] // s[i])), g)
-
     def contains(self, g):
-        return not any(self.residual(g))
+        """coset_rep(g) lies in K g, so it is the identity exactly when g
+        is in K."""
+        return not any(self.coset_rep(g))
 
     def coset_rep(self, g):
         """Canonical coset representative: exponents at occupied leads are

@@ -16,16 +16,13 @@ import math
 
 from .errors import PreconditionError, TwistsepError, ValidationError
 from . import lattice as lin
-from .malcev import GroupHom, compose_with_inner, inner_automorphism
+from .malcev import GroupHom, compose_with_inner, inner_automorphism, product_of_powers
 from .subgroups import InducedSequence, power_subgroup
 
 
-def _realize_class(pres, gens, coeffs):
-    g = pres.identity
-    for gen, e in zip(gens, coeffs):
-        if e:
-            g = pres.mult(g, pres.pow(gen, e))
-    return g
+# at most this many chain levels are memoised per presentation; the CI rows
+# read at most 856 (ut4's 6-ball under the identity)
+MEMO_LEVELS = 4096
 
 
 @dataclass
@@ -34,7 +31,11 @@ class ChainLevel:
     seq: InducedSequence          # the twisted centralizer at this level
     psi_rows: list                # psi values of the sequence generators
     image: lin.Lattice            # image lattice of psi in the layer
-    determinant: int              # isolator index of the image
+
+    @cached_property
+    def determinant(self):
+        """The isolator index of the image; built on first use."""
+        return lin.isolator_index(self.image)
 
     @cached_property
     def preimage(self):
@@ -50,7 +51,7 @@ class ChainLevel:
         gens = self.seq.generators()
         t = len(gens)
         kern = lin.kernel_basis(lin.transpose(self.psi_rows))
-        new_gens = [_realize_class(p, gens, v) for v in kern.rows]
+        new_gens = [product_of_powers(p, gens, v) for v in kern.rows]
         for a in range(t):
             for b in range(a + 1, t):
                 cgen = p.comm(gens[a], gens[b])
@@ -59,53 +60,65 @@ class ChainLevel:
         return InducedSequence.from_generators(p, new_gens, conjugators=gens)
 
 
+def _build_level(pres, maps, level, seq):
+    """The level of the joint chain of maps whose twisted centralizer is seq."""
+    rows = []
+    for g in seq.generators():
+        row = []
+        for d in (pres.mult(g, pres.inv(m.apply(g))) for m in maps):
+            w = pres.weight_of(d)
+            if w is not None and w < level:
+                raise TwistsepError("chain generator displacement is too shallow")
+            row.extend(pres.layer_coords(d, level))
+        rows.append(row)
+    image = lin.Lattice.from_rows(pres.layer_rank(level) * len(maps), rows)
+    return ChainLevel(level, seq, rows, image)
+
+
+def twist_level(pres, phi, g, w):
+    """Level w of the joint chain of the twists Inn(g) o m, m in phi (one
+    automorphism or a list). It depends only on g cut to its coordinates of
+    weight below w (_walk has the cut lemma), so it is memoised per
+    presentation by phi's images, that cut and w, up to MEMO_LEVELS levels;
+    a new level evicts the oldest. A new level's N_w is seeded from level
+    w - 1 read for g cut below w - 1: the two cuts differ by h in
+    gamma_(w-1), so their chains share N_i and psi_i for i <= w - 1, hence
+    N_w, exactly, since equal subgroups have equal canonical sequences.
+    N_1 is the whole group."""
+    maps = [phi] if isinstance(phi, GroupHom) else phi
+    if not 1 <= w <= pres.nilpotency_class:
+        raise ValidationError("chain level out of range")
+    g = tuple(a if wt < w else 0 for a, wt in zip(g, pres.weights))
+    memo = pres.__dict__.setdefault("_twist_levels", {})
+    key = (tuple(tuple(m.images) for m in maps), g, w)
+    if key not in memo:
+        seq = (twist_level(pres, maps, g, w - 1).next_subgroup if w > 1 else
+               InducedSequence(pres, {i: pres.gen(i) for i in range(pres.h)}))
+        lv = _build_level(pres, [compose_with_inner(pres, m, g) for m in maps], w, seq)
+        if len(memo) >= MEMO_LEVELS:
+            del memo[next(iter(memo))]
+        memo[key] = lv
+    return memo[key]
+
+
 class TwistedChain:
     """The descending chain N_1 >= N_2 >= ... >= N_{c+1} for one or several
     automorphisms (several maps give joint displacement chains, used for
     centralizers and centers; determinants are per-map only for a single
-    automorphism).
-
-    Levels are built on demand: level(i) builds N_i and its psi rows, and
-    N_{i+1} is closed from level i's kernel only when level i+1 or fixed
-    is read. levels, fixed and determinants force the whole chain."""
+    automorphism): a view on the levels twist_level memoises, at the
+    identity cut. Each level is built when first read; levels, fixed and
+    determinants read the whole chain."""
 
     def __init__(self, pres, maps):
-        if isinstance(maps, GroupHom):
-            maps = [maps]
         self.pres = pres
-        self.maps = maps
-        self._seqs = {1: InducedSequence(pres, {i: pres.gen(i) for i in range(pres.h)})}
-        self._levels = {}
-
-    def _build_level(self, level):
-        p = self.pres
-        seq = self.subgroup(level)
-        r = p.layer_rank(level)
-        rows = []
-        for g in seq.generators():
-            row = []
-            for d in (p.mult(g, p.inv(m.apply(g))) for m in self.maps):
-                w = p.weight_of(d)
-                if w is not None and w < level:
-                    raise TwistsepError(
-                        "chain generator displacement is too shallow")
-                row.extend(p.layer_coords(d, level))
-            rows.append(row)
-        image = lin.Lattice.from_rows(r * len(self.maps), rows)
-        return ChainLevel(level, seq, rows, image, lin.isolator_index(image))
+        self.maps = [maps] if isinstance(maps, GroupHom) else maps
 
     def level(self, i):
-        if not 1 <= i <= self.pres.nilpotency_class:
-            raise ValidationError("chain level out of range")
-        if i not in self._levels:
-            self._levels[i] = self._build_level(i)
-        return self._levels[i]
+        return twist_level(self.pres, self.maps, self.pres.identity, i)
 
     def subgroup(self, i):
         """N_i as an induced sequence; i may be c+1 for the fixed subgroup."""
-        if i not in self._seqs:
-            self._seqs[i] = self.level(i - 1).next_subgroup
-        return self._seqs[i]
+        return self.fixed if i == self.pres.nilpotency_class + 1 else self.level(i).seq
 
     @property
     def levels(self):
@@ -114,7 +127,7 @@ class TwistedChain:
     @property
     def fixed(self):
         """N_{c+1}: the common fixed subgroup."""
-        return self.subgroup(self.pres.nilpotency_class + 1)
+        return self.level(self.pres.nilpotency_class).next_subgroup
 
     def determinants(self):
         if len(self.maps) != 1:
@@ -124,30 +137,8 @@ class TwistedChain:
 
 
 def twisted_chain(pres, phi):
-    """The chain for a single automorphism, memoised on the presentation by
-    the tuple of generator images (chains are pure functions of those). The
-    memo holds 512 chains; a new one evicts the oldest."""
-    cache = pres.__dict__.setdefault("_chain_cache", {})
-    key = tuple(phi.images)
-    if key not in cache:
-        if len(cache) >= 512:
-            del cache[next(iter(cache))]
-        cache[key] = TwistedChain(pres, phi)
-    return cache[key]
-
-
-def twist_level(pres, phi, g, w):
-    """Level w of the chain of phi_g = Inn(g) o phi, read from the chain of
-    g cut to its coordinates of weight below w (_walk has the cut lemma).
-    That chain's N_w is seeded from level w - 1 read for g cut below w - 1:
-    the two cuts differ by h in gamma_(w-1), so their chains share N_i and
-    psi_i for i <= w - 1, hence N_w, exactly, since equal subgroups have
-    equal canonical sequences. Level 1 is phi's."""
-    g = tuple(a if wt < w else 0 for a, wt in zip(g, pres.weights))
-    chain = twisted_chain(pres, compose_with_inner(pres, phi, g))
-    if w not in chain._seqs:
-        chain._seqs[w] = twist_level(pres, phi, g, w - 1).next_subgroup
-    return chain.level(w)
+    """The chain of a single automorphism."""
+    return TwistedChain(pres, phi)
 
 
 def center(pres):
@@ -221,7 +212,7 @@ def _walk(pres, phi, x, y=None):
         d = [a - b for a, b in zip(goal, t)]
         if (v := lv.preimage(d)) is None:
             return NotTwistedConjugate(w, lv.image.reduce(d), lv.image.rows)
-        u = p.mult(_realize_class(p, lv.seq.generators(), v), u)
+        u = p.mult(product_of_powers(p, lv.seq.generators(), v), u)
         cur = p.mult(p.mult(u, x), p.inv(phi.apply(u)))
     if y is not None and cur != y:  # cur is u x phi(u)^-1, so this verifies the witness
         raise TwistsepError("internal witness verification failed")
@@ -356,7 +347,7 @@ def solve_power_twisted(pres, phi, p, k, x):
         if vv is None:
             raise TwistsepError("psi class pullback failed; displacement escaped the image")
         coeffs = [p ** j * e for e in vv]
-        u = _realize_class(pres, lv.seq.generators(), coeffs)
+        u = product_of_powers(pres, lv.seq.generators(), coeffs)
         y = pres.mult(y, u)
         x_cur = pres.mult(pres.inv(u), x_cur)
     else:

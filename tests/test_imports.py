@@ -2,11 +2,12 @@
 every module-level import is used by its module, no function body
 imports anything (no import cycle needs it), and every function, class
 and method is referenced somewhere in src/, tests/ or bench/ outside its
-own definition, or overrides a method of a base class from outside the
-package, which that base class may call. A stricter rule keeps out names
-that only their own unit tests and re-exports use: outside a named exempt
-set, every definition is referenced from the package's modules, the
-benchmark or the acceptance tests."""
+own definition (a string names it only in bench/), or overrides a method
+of a base class from outside the package, which that base class may
+call. A stricter rule keeps out names that only their own unit tests
+and re-exports use: outside a named exempt set, every definition is
+referenced from the package's modules, the benchmark or the acceptance
+tests."""
 
 import ast
 from collections import Counter
@@ -60,10 +61,11 @@ ROOT = PACKAGE.parent.parent
 SOURCES = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
-def _references(node):
+def _references(node, strings=False):
     """(name, kind) for every name node reads: a loaded or deleted Name, an
-    attribute, an imported name, and a string constant (the benchmark
-    tracer names what it wraps as "Class.method" or "function")."""
+    attribute, an imported name, and, with strings, a string constant (the
+    benchmark tracer names what it wraps as "Class.method" or "function";
+    elsewhere a string equal to a name, a JSON key say, is no use of it)."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             yield n.id, "name"
@@ -71,7 +73,7 @@ def _references(node):
             yield n.attr, "attr"
         elif isinstance(n, ast.alias):
             yield n.name.split(".")[-1], "name"
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
             yield n.value, "string"
 
 
@@ -121,9 +123,16 @@ def _unreferenced(module, tree, everywhere):
     return dead
 
 
+def _all_references(trees):
+    """The references of every tree, strings only from the benchmark's."""
+    bench = ROOT / "bench"
+    return Counter(ref for path, tree in trees.items()
+                   for ref in _references(tree, strings=bench in path.parents))
+
+
 def test_every_definition_is_referenced():
     trees = {path: _tree(path) for path in SOURCES}
-    everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
+    everywhere = _all_references(trees)
     dead = []
     for path in MODULES:
         module = importlib.import_module(
@@ -151,7 +160,7 @@ UNIT_TESTED_ONLY = {
 
 def test_every_definition_has_a_user_beyond_its_unit_tests():
     trees = {path: _tree(path) for path in USERS}
-    everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
+    everywhere = _all_references(trees)
     dead = []
     for path in WITHOUT_INIT:
         module = importlib.import_module(f"{PACKAGE.name}.{path.stem}")

@@ -173,6 +173,9 @@ def test_verify_presentation():
     with pytest.raises(ValidationError):
         # support of [y,x] not deeper than both generators
         MalcevPresentation(["x", "y"], [1, 1], {(1, 0): (1, 0)})
+    for basis, weights in (([], []), (["x", "y", "z"], [1, 1, 2])):
+        with pytest.raises(ValidationError, match="declared class"):
+            MalcevPresentation(basis, weights, {}, nilpotency_class=3)
     bad = MalcevPresentation(["x", "y", "z", "w"], [1, 1, 2, 2],
                              {(1, 0): (0, 0, 2, 0)})
     assert any("index" in p or "rank" in p for p in verify_presentation(bad))

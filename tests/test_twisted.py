@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twistsep import lattice
+from twistsep import lattice, twisted
 from twistsep.errors import PreconditionError, ValidationError
 from twistsep.groups import (dim5, dim5_automorphism, free_abelian, heisenberg,
                              heisenberg_automorphism, ut4)
@@ -12,9 +12,9 @@ from twistsep.malcev import (GroupHom, ball, compose_with_inner, identity_automo
                              inner_automorphism, verify_hom)
 from twistsep.subgroups import InducedSequence, power_subgroup
 from twistsep.twisted import (ChainLevel, NotTwistedConjugate, TwistedChain, TwistedWitness,
-                              _prime_power, blackburn_constants, canonical_form, center,
-                              is_twisted_conjugate, psi, solve_power_twisted, twist_level,
-                              twisted_chain)
+                              _build_level, _prime_power, blackburn_constants,
+                              canonical_form, center, is_twisted_conjugate, psi,
+                              solve_power_twisted, twist_level, twisted_chain)
 from test_malcev import U5
 
 SEED = 20240214
@@ -104,43 +104,42 @@ BUILTIN_MAPS = [
 @pytest.mark.parametrize("pres, phi", BUILTIN_MAPS,
                          ids=["heisenberg", "dim5", "free_abelian4", "ut4", "ut5"])
 def test_lazy_seeded_chain_equals_eager_chain(pres, phi):
-    # a chain forced level by level in order, unseeded, against one read
-    # deepest level first with N_2 seeded from phi's chain, for phi and
-    # Inn(x) o phi
+    # the memoised levels of Inn(x) o phi, read deepest level first, so
+    # seeded through the prefix cuts of x, against a reference built in
+    # order from N_1 by _build_level and next_subgroup alone, outside the memo
     assert verify_hom(phi, check_automorphism=True) == []
     c = pres.nilpotency_class
-    n2 = TwistedChain(pres, phi).subgroup(2)
     rng = random.Random(SEED + 20)
     xs = [pres.identity] + [tuple(rng.randint(-2, 2) for _ in range(pres.h))
                             for _ in range(4)]
     for x in xs:
         m = compose_with_inner(pres, phi, x)
-        eager = TwistedChain(pres, m)
-        forced = [eager.level(i) for i in range(1, c + 1)]
-        lazy = TwistedChain(pres, m)
-        lazy._seqs[2] = n2
+        seq, forced = InducedSequence(pres, {i: pres.gen(i) for i in range(pres.h)}), []
+        for i in range(1, c + 1):
+            forced.append(_build_level(pres, [m], i, seq))
+            seq = forced[-1].next_subgroup
         for i in range(c, 0, -1):
-            a, b = forced[i - 1], lazy.level(i)
+            a, b = forced[i - 1], twist_level(pres, phi, x, i)
             assert a.seq.entries == b.seq.entries
             assert a.psi_rows == b.psi_rows
             assert a.image.rows == b.image.rows
             assert a.determinant == b.determinant
-        assert eager.fixed.entries == lazy.fixed.entries
+        assert seq.entries == twist_level(pres, phi, x, c).next_subgroup.entries
 
 
 def test_decision_closes_only_what_it_reads(monkeypatch):
-    # with phi's own chain built, a decision whose stages read levels 1-2
+    # with phi's own N_2 built, a decision whose stages read levels 1-2
     # only runs no closure; a stage reading level 3 closes N_3 and nothing
     # deeper (ut4 is class 3, so N_4 is never closed)
-    U = ut4()  # a fresh presentation, so the chain memo starts empty
+    U = ut4()  # a fresh presentation, so the level memo starts empty
     phi = ut_flip(U)
     twisted_chain(U, phi).subgroup(2)
     closures, read = [], []
-    closure, level = InducedSequence.from_generators.__func__, TwistedChain.level
+    closure, level = InducedSequence.from_generators.__func__, twisted.twist_level
     monkeypatch.setattr(InducedSequence, "from_generators", classmethod(
         lambda cls, *a, **k: closures.append(1) or closure(cls, *a, **k)))
-    monkeypatch.setattr(TwistedChain, "level",
-                        lambda self, i: read.append(i) or level(self, i))
+    monkeypatch.setattr(twisted, "twist_level",
+                        lambda pres, m, g, w: read.append(w) or level(pres, m, g, w))
     rng = random.Random(SEED + 21)
     shallow = {True: 0, False: 0}
     for k in range(100):
@@ -161,16 +160,17 @@ def test_decision_closes_only_what_it_reads(monkeypatch):
 
 
 def test_decisions_towards_one_y_read_its_prefix_chains(monkeypatch):
-    # a decision at layer w has cur agreeing with y below w, so it reads the
-    # chain of y cut below w: 40 decisions from different x towards one y
-    # build only the chains of phi and of y cut below 2 and 3, and close
-    # N_2 once, on phi's chain, and N_3 once, on the chain of y cut below 2
-    U = ut4()  # a fresh presentation, so the chain memo starts empty
+    # a decision at layer w has cur agreeing with y below w, so it reads
+    # level w of the chain of y cut below w: 40 decisions from different x
+    # towards one y build one level per cut of y, level 1 of phi and levels
+    # 2 and 3 of y cut below 2 and 3, and close N_2 once, on phi's level 1,
+    # and N_3 once, on level 2 of y cut below 2
+    U = ut4()  # a fresh presentation, so the level memo starts empty
     phi = ut_flip(U)
     builds, closed = [], []
-    init, close = TwistedChain.__init__, ChainLevel.next_subgroup.func
-    monkeypatch.setattr(TwistedChain, "__init__",
-                        lambda self, *a: builds.append(a[1].images) or init(self, *a))
+    build, close = twisted._build_level, ChainLevel.next_subgroup.func
+    monkeypatch.setattr(twisted, "_build_level", lambda pres, maps, w, seq: builds.append(
+        ([m.images for m in maps], w)) or build(pres, maps, w, seq))
     spy = cached_property(lambda lv: closed.append(lv.level + 1) or close(lv))
     spy.__set_name__(ChainLevel, "next_subgroup")
     monkeypatch.setattr(ChainLevel, "next_subgroup", spy)
@@ -185,8 +185,23 @@ def test_decisions_towards_one_y_read_its_prefix_chains(monkeypatch):
         if isinstance(res, TwistedWitness):
             assert res.verify(U, phi)
     cuts = [tuple(a if wt < w else 0 for a, wt in zip(y, U.weights)) for w in (1, 2, 3)]
-    assert builds == [compose_with_inner(U, phi, g).images for g in cuts]
+    assert builds == [([compose_with_inner(U, phi, g).images], w)
+                      for w, g in enumerate(cuts, 1)]
     assert closed == [2, 3]
+
+
+def test_a_second_form_pass_builds_no_level(monkeypatch):
+    # the canonical forms of the H3 16-ball under the identity read fewer
+    # levels than the memo holds, so a second pass reads them all from it
+    pres = heisenberg()  # a fresh presentation, so the level memo starts empty
+    phi, elements = identity_automorphism(pres), ball(pres, pres.standard_gens(), 16)
+    forms = [canonical_form(pres, phi, g) for g in elements]
+    assert len(pres._twist_levels) < twisted.MEMO_LEVELS
+    builds, build = [], twisted._build_level
+    monkeypatch.setattr(twisted, "_build_level",
+                        lambda *a: builds.append(a[2]) or build(*a))
+    assert [canonical_form(pres, phi, g) for g in elements] == forms
+    assert builds == []
 
 
 def test_psi_is_homomorphism():
@@ -471,12 +486,14 @@ def test_decision_vs_brute_force_dim5():
 
 
 def test_chain_memo_evicts_the_oldest():
+    # level 2 of Inn((k, 0, 0)) o id is one level per k, seeded from the
+    # identity's level 1, so the memo fills up and evicts in order
     pres = heisenberg()  # a fresh presentation, so the memo starts empty
-    twists = [compose_with_inner(pres, ID_H3, (k, 0, 0)) for k in range(600)]
-    chains = [twisted_chain(pres, phi) for phi in twists]
-    assert len(pres._chain_cache) == 512
-    assert twisted_chain(pres, twists[-1]) is chains[-1]
-    assert twisted_chain(pres, twists[0]) is not chains[0]
+    n = twisted.MEMO_LEVELS + 100
+    levels = [twist_level(pres, ID_H3, (k, 0, 0), 2) for k in range(1, n)]
+    assert len(pres._twist_levels) == twisted.MEMO_LEVELS
+    assert twist_level(pres, ID_H3, (n - 1, 0, 0), 2) is levels[-1]
+    assert twist_level(pres, ID_H3, (1, 0, 0), 2) is not levels[0]
 
 
 def test_preimage_elimination_runs_once_on_first_use(monkeypatch):
